@@ -25,7 +25,6 @@
 #include "cqa/indexed_natural_sampler.h"
 #include "cqa/kl_sampler.h"
 #include "cqa/klm_sampler.h"
-#include "cqa/natural_sampler.h"
 #include "cqa/opt_estimate.h"
 #include "cqa/preprocess.h"
 #include "gen/noise.h"
@@ -47,17 +46,6 @@ Synopsis ChainSynopsis(size_t n, size_t b) {
   }
   return s;
 }
-
-void BM_NaturalSamplerDraw(benchmark::State& state) {
-  Synopsis s = ChainSynopsis(state.range(0), 3);
-  NaturalSampler sampler(&s);
-  Rng rng(1);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sampler.Draw(rng));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_NaturalSamplerDraw)->Arg(8)->Arg(64)->Arg(512);
 
 void BM_IndexedNaturalSamplerDraw(benchmark::State& state) {
   Synopsis s = ChainSynopsis(state.range(0), 3);

@@ -19,8 +19,7 @@ CoverageResult SelfAdjustingCoverage(const SymbolicSpace& space,
                                      obs::ConvergenceRecorder* recorder) {
   CQA_CHECK(epsilon > 0.0 && epsilon < 1.0);
   CQA_CHECK(delta > 0.0 && delta < 1.0);
-  const Synopsis& synopsis = space.synopsis();
-  const size_t h = synopsis.NumImages();
+  const size_t h = space.synopsis().NumImages();
   CQA_CHECK(h >= 1);
 
   const double n_exact = 8.0 * (1.0 + epsilon) * static_cast<double>(h) *
@@ -41,15 +40,16 @@ CoverageResult SelfAdjustingCoverage(const SymbolicSpace& space,
     space.SampleElement(rng, &choice);
     size_t trial_start = steps;
     while (true) {
-      ++steps;
-      if (steps > budget) goto finish;
+      // `steps` counts only the inner draws actually made.
+      if (steps == budget) goto finish;
       if (steps % kDeadlineStride == 0 && deadline.Expired()) {
         result.timed_out = true;
         goto finish;
       }
       // Inner sample: j uniform in [|H|]; stop when H_j witnesses I.
+      ++steps;
       size_t j = rng.UniformIndex(h);
-      if (synopsis.ImageContainedIn(j, choice)) break;
+      if (space.ImageContainedIn(j, choice)) break;
     }
     total = steps;
     ++trials;

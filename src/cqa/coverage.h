@@ -18,8 +18,8 @@ struct CoverageResult {
   /// symbolic space. Multiply by |S•|/|db(B)| (= SymbolicSpace::
   /// total_weight()) to obtain R(H, B).
   double normalized_estimate = 0.0;
-  /// Total inner-loop steps performed (the algorithm's deterministic
-  /// budget N bounds this).
+  /// Inner-loop draws actually made: N when the budget ran out, fewer
+  /// when the deadline stopped the run first.
   size_t steps = 0;
   /// Completed trials (outer samples whose witness search finished).
   size_t trials = 0;
@@ -34,7 +34,10 @@ struct CoverageResult {
 ///   N = ⌈ 8(1+ε)|H| ln(3/δ) / ((1-ε²/8) ε²) ⌉
 /// is fixed deterministically, which makes the running time predictable —
 /// but linear in |H| with a large constant, the behaviour the paper's
-/// experiments single out.
+/// experiments single out. Each outer trial costs one
+/// SymbolicSpace::SampleElement; each inner step one uniform index j plus
+/// SymbolicSpace::ImageContainedIn, which reads only H_j's facts in
+/// blocks of size >= 2 from one flat array.
 ///
 /// When `recorder` is non-null it receives, per completed trial, the
 /// witness-search cost normalized by |H| — the per-trial draw whose mean

@@ -9,21 +9,33 @@ ImageIndex::ImageIndex(const Synopsis* synopsis) {
   const std::vector<Synopsis::Block>& blocks = synopsis->blocks();
   const std::vector<Synopsis::Image>& images = synopsis->images();
 
-  // Lay the (block, tid) cells out back to back, then two passes: count
-  // list lengths into the offsets, prefix-sum, fill.
+  // Lay the (block, tid) cells of the conflict blocks out back to back.
+  // Every size-1 block maps to one extra cell, `spill`, after them, so the
+  // two passes below (count list lengths into the offsets, prefix-sum,
+  // fill) run without a per-fact branch; the spill cell is emptied after.
   block_base_.resize(blocks.size());
-  size_t num_cells = 0;
+  size_t spill = 0;
   for (size_t b = 0; b < blocks.size(); ++b) {
-    block_base_[b] = num_cells;
-    num_cells += blocks[b].size;
+    if (blocks[b].size < 2) continue;
+    conflict_blocks_.push_back(static_cast<uint32_t>(b));
+    block_base_[b] = spill;
+    spill += blocks[b].size;
   }
-  cell_offsets_.assign(num_cells + 1, 0);
-  image_sizes_.reserve(images.size());
-  for (const Synopsis::Image& image : images) {
-    image_sizes_.push_back(static_cast<uint32_t>(image.facts.size()));
-    for (const Synopsis::ImageFact& f : image.facts) {
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    if (blocks[b].size < 2) block_base_[b] = spill;
+  }
+  cell_offsets_.assign(spill + 2, 0);
+  conflict_sizes_.resize(images.size());
+  last_block_.resize(images.size());
+  for (uint32_t i = 0; i < images.size(); ++i) {
+    uint32_t conflict = 0;
+    for (const Synopsis::ImageFact& f : images[i].facts) {
+      conflict += block_base_[f.block] != spill;
       ++cell_offsets_[block_base_[f.block] + f.tid + 1];
     }
+    conflict_sizes_[i] = conflict;
+    // Facts are sorted by block, so the last one sits in the last block.
+    last_block_[i] = images[i].facts.back().block;
   }
   for (size_t c = 1; c < cell_offsets_.size(); ++c) {
     cell_offsets_[c] += cell_offsets_[c - 1];
@@ -36,7 +48,20 @@ ImageIndex::ImageIndex(const Synopsis* synopsis) {
       images_[fill_pos[block_base_[f.block] + f.tid]++] = i;
     }
   }
+  // Drop the size-1 facts: AddFact on a size-1 block now finds no list.
+  images_.resize(cell_offsets_[spill]);
+  cell_offsets_[spill + 1] = cell_offsets_[spill];
 
+  // An image with no conflict fact is certain: every database holds it.
+  for (uint32_t i = 0; i < images.size(); ++i) {
+    if (conflict_sizes_[i] > 0) continue;
+    ++num_certain_;
+    if (first_certain_ == kNone) first_certain_ = i;
+    if (certain_witness_ == kNone ||
+        last_block_[i] < last_block_[certain_witness_]) {
+      certain_witness_ = i;
+    }
+  }
   hits_.assign(images.size(), 0);
   stamp_.assign(images.size(), 0);
 }
@@ -56,6 +81,7 @@ TidDigitPlan::TidDigitPlan(const Synopsis* synopsis) {
     CQA_CHECK(s > 0 && s <= UINT32_MAX);
     sizes_.push_back(static_cast<uint32_t>(s));
     if (s == 1) continue;  // tid is always 0: no entropy needed.
+    conflict_blocks_.push_back(static_cast<uint32_t>(b));
     // Keep >= 32 bits of granularity after extracting this digit.
     if (capacity < (static_cast<unsigned __int128>(s) << 32)) {
       refill_[b] = 1;

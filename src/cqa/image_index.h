@@ -19,12 +19,15 @@ namespace cqa {
 /// natural sampler and the KL/KLM symbolic samplers.
 ///
 /// The question every sampler answers per draw is "which images are fully
-/// contained in the drawn database I?". The naive scan pays
-/// Θ(Σ_i |H_i|) per draw; this index only touches the images that share
-/// at least one fact with I: per drawn fact (block, tid) it bumps a hit
-/// counter for each image containing that fact, and an image is contained
-/// in I exactly when its counter reaches its fact count. Per-draw cost is
-/// Θ(#facts drawn + Σ_{drawn facts} |images containing that fact|).
+/// contained in the drawn database I?". Only conflict blocks (size >= 2)
+/// can vary between databases: a size-1 block's fact is in every repair,
+/// so the index leaves those facts out altogether. An image's hit counter
+/// counts its facts in conflict blocks, and the image is contained in I
+/// exactly when that counter reaches its conflict-fact count. An image
+/// with no conflict fact at all is certain: it lies in every I, so it is
+/// counted once at construction instead of per draw. The naive scan pays
+/// Θ(Σ_i |H_i|) per draw; this index pays
+/// Θ(#conflict blocks + Σ_{drawn conflict facts} |images containing it|).
 ///
 /// The hit counters carry a generation stamp so starting a new draw is
 /// O(1): a counter whose stamp is stale is treated as zero instead of
@@ -35,8 +38,24 @@ namespace cqa {
 /// Not thread-safe: each worker owns its sampler, which owns its index.
 class ImageIndex {
  public:
+  /// "No image" / "no block" marker of first_certain_image(),
+  /// certain_witness() and the natural sampler's stop rule.
+  static constexpr uint32_t kNone = UINT32_MAX;
+
   /// The synopsis must outlive the index.
   explicit ImageIndex(const Synopsis* synopsis);
+
+  /// Number of certain images (no fact in a conflict block).
+  size_t num_certain_images() const { return num_certain_; }
+
+  /// The smallest certain image id, or kNone when there is none.
+  uint32_t first_certain_image() const { return first_certain_; }
+
+  /// The certain image whose last block is smallest, or kNone.
+  uint32_t certain_witness() const { return certain_witness_; }
+
+  /// The largest block index among image `image`'s facts.
+  uint32_t last_block(uint32_t image) const { return last_block_[image]; }
 
   /// Starts a new draw, invalidating all hit counters in O(1).
   void BeginDraw() {
@@ -48,10 +67,11 @@ class ImageIndex {
   }
 
   /// Registers that tuple `tid` of block `block` was drawn. For every
-  /// image this fact completes (all its facts now drawn this generation)
-  /// `on_complete(image_id)` is invoked; when it returns true the scan
-  /// stops and AddFact returns true. Returns false once the fact's list
-  /// is exhausted without an early stop.
+  /// image this fact completes (all its conflict facts now drawn this
+  /// generation) `on_complete(image_id)` is invoked; when it returns true
+  /// the scan stops and AddFact returns true. Returns false once the
+  /// fact's list is exhausted without an early stop. A no-op on a size-1
+  /// block, whose fact no list holds.
   template <typename Fn>
   bool AddFact(uint32_t block, uint32_t tid, Fn&& on_complete) {
     const size_t cell = block_base_[block] + tid;
@@ -63,33 +83,42 @@ class ImageIndex {
         stamp_[image] = generation_;
         hits_[image] = 0;
       }
-      if (++hits_[image] == image_sizes_[image] && on_complete(image)) {
+      if (++hits_[image] == conflict_sizes_[image] && on_complete(image)) {
         return true;
       }
     }
     return false;
   }
 
-  /// BeginDraw + AddFact over a fully drawn database. `on_complete` as in
-  /// AddFact; returns true iff an on_complete call stopped the scan.
+  /// BeginDraw + AddFact over the conflict blocks of a fully drawn
+  /// database: reports every non-certain image `choice` contains. The
+  /// certain images are contained too but are never reported. Returns
+  /// true iff an on_complete call stopped the scan.
   template <typename Fn>
-  bool ForEachContainedImage(const Synopsis::Choice& choice,
+  bool ForEachCompletedImage(const Synopsis::Choice& choice,
                              Fn&& on_complete) {
     BeginDraw();
-    for (uint32_t b = 0; b < choice.size(); ++b) {
+    for (uint32_t b : conflict_blocks_) {
       if (AddFact(b, choice[b], on_complete)) return true;
     }
     return false;
   }
 
  private:
-  // Flat CSR: the images containing (block b, tuple t) live at
-  // images_[cell_offsets_[c] .. cell_offsets_[c + 1]) for
-  // c = block_base_[b] + t.
+  // The blocks of size >= 2, ascending: the only blocks a draw can vary.
+  std::vector<uint32_t> conflict_blocks_;
+  // Flat CSR over the conflict facts: the images containing (block b,
+  // tuple t) live at images_[cell_offsets_[c] .. cell_offsets_[c + 1])
+  // for c = block_base_[b] + t. All size-1 blocks share one empty cell.
   std::vector<size_t> block_base_;
   std::vector<uint32_t> cell_offsets_;
   std::vector<uint32_t> images_;
-  std::vector<uint32_t> image_sizes_;
+  // Per image: its number of facts in conflict blocks, and its last block.
+  std::vector<uint32_t> conflict_sizes_;
+  std::vector<uint32_t> last_block_;
+  size_t num_certain_ = 0;
+  uint32_t first_certain_ = kNone;
+  uint32_t certain_witness_ = kNone;
   // Per-draw scratch: hit counters valid only for the current generation.
   std::vector<uint32_t> hits_;
   std::vector<uint32_t> stamp_;
@@ -110,7 +139,10 @@ class ImageIndex {
 /// 32 bits of granularity would remain, bounding the relative bias of
 /// every tid below 2^-32 — invisible next to the O(ε) Monte-Carlo error,
 /// and orders of magnitude below what the distribution tests could
-/// detect. Blocks of size 1 consume no entropy at all.
+/// detect. Blocks of size 1 consume no entropy at all: Next on one takes
+/// no engine word, returns 0 and leaves the Stream unchanged, so a loop
+/// over conflict_blocks() alone consumes exactly the engine words of a
+/// loop over every block.
 class TidDigitPlan {
  public:
   TidDigitPlan() = default;
@@ -121,9 +153,14 @@ class TidDigitPlan {
     uint64_t f = 0;
   };
 
+  /// The blocks of size >= 2, ascending: the only ones Next draws from.
+  const std::vector<uint32_t>& conflict_blocks() const {
+    return conflict_blocks_;
+  }
+
   /// The tid for block `b`, uniform in [0, sizes[b]). Blocks must be
   /// visited in index order from a fresh Stream (the refill schedule is
-  /// positional), but stopping early is fine.
+  /// positional), but stopping early and skipping size-1 blocks is fine.
   uint32_t Next(Rng& rng, size_t b, Stream* s) const {
     if (refill_[b]) s->f = rng.engine()();
     const unsigned __int128 m =
@@ -133,6 +170,7 @@ class TidDigitPlan {
   }
 
  private:
+  std::vector<uint32_t> conflict_blocks_;
   std::vector<uint32_t> sizes_;
   std::vector<uint8_t> refill_;
 };

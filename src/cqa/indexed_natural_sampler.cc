@@ -13,21 +13,34 @@ IndexedNaturalSampler::IndexedNaturalSampler(const Synopsis* synopsis)
 }
 
 double IndexedNaturalSampler::DrawImpl(Rng& rng) {
-  const auto& blocks = synopsis_->blocks();
-  scratch_.resize(blocks.size());
+  // resize zero-fills: size-1 entries hold their only tid, 0, for good.
+  scratch_.resize(synopsis_->NumBlocks());
   index_.BeginDraw();
   TidDigitPlan::Stream stream;
-  for (uint32_t b = 0; b < blocks.size(); ++b) {
-    uint32_t tid = digits_.Next(rng, b, &stream);
+  // The full block scan would stop at the first block that completes an
+  // image, i.e. at `stop`, the smallest last block of any contained
+  // image. Size-1 blocks take no entropy, so drawing just the conflict
+  // blocks up to `stop` consumes the same engine words. `stop` starts at
+  // the certain images' and shrinks as conflict facts complete images.
+  uint32_t witness = index_.certain_witness();
+  uint32_t stop = witness == ImageIndex::kNone ? ImageIndex::kNone
+                                                : index_.last_block(witness);
+  for (uint32_t b : digits_.conflict_blocks()) {
+    if (b > stop) break;
+    const uint32_t tid = digits_.Next(rng, b, &stream);
     scratch_[b] = tid;
-    bool hit = index_.AddFact(b, tid, [&](uint32_t image) {
-      // Containment of one image suffices — stop before drawing the
-      // remaining blocks; they cannot flip the outcome.
-      CQA_AUDIT(audit::CheckImageInPrefix, *synopsis_, image, scratch_,
-                b + 1);
-      return true;
+    index_.AddFact(b, tid, [&](uint32_t image) {
+      if (index_.last_block(image) < stop) {
+        stop = index_.last_block(image);
+        witness = image;
+      }
+      return stop == b;  // Nothing drawn later can lower `stop` below b.
     });
-    if (hit) return 1.0;
+  }
+  if (witness != ImageIndex::kNone) {
+    CQA_AUDIT(audit::CheckImageInPrefix, *synopsis_, witness, scratch_,
+              stop + 1);
+    return 1.0;
   }
   // Cross-validate the inverted-index miss against the naive scan.
   CQA_AUDIT(audit::CheckNaturalDraw, *synopsis_, scratch_, 0.0);

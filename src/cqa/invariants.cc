@@ -268,7 +268,7 @@ bool CheckMonteCarloResult(const MonteCarloResult& result, std::string* why) {
 
 bool CheckCoverageResult(const CoverageResult& result, size_t budget,
                          std::string* why) {
-  if (result.steps > budget + 1) {
+  if (result.steps > budget) {
     return Fail(why, "coverage overran its deterministic step budget");
   }
   if (result.trials > result.steps) {

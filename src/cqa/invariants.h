@@ -82,7 +82,7 @@ bool CheckOptEstimateResult(const OptEstimateResult& result, double epsilon,
 /// completed estimate lies in [0, 1] (samplers emit values in [0, 1]).
 bool CheckMonteCarloResult(const MonteCarloResult& result, std::string* why);
 
-/// The coverage loop respected its deterministic budget: steps <= N + 1,
+/// The coverage loop respected its deterministic budget: steps <= N,
 /// every trial cost at least one step, and the normalized estimate of a
 /// completed run is non-negative.
 bool CheckCoverageResult(const CoverageResult& result, size_t budget,

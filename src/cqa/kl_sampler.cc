@@ -14,9 +14,11 @@ KlSampler::KlSampler(const SymbolicSpace* space)
 double KlSampler::DrawImpl(Rng& rng) {
   size_t i = space_->SampleElement(rng, &scratch_);
   // Reject iff some j < i is contained in I: then i is not I's first
-  // witness. The index visits only images sharing a drawn fact and stops
-  // at the first completed prefix image.
-  bool rejected = index_.ForEachContainedImage(
+  // witness. A certain image lies in every I, so it rejects every i above
+  // it up front; otherwise the index visits only images sharing a drawn
+  // conflict fact and stops at the first completed prefix image.
+  if (index_.first_certain_image() < i) return 0.0;
+  bool rejected = index_.ForEachCompletedImage(
       scratch_, [i](uint32_t j) { return j < i; });
   if (rejected) return 0.0;
   // Acceptance implies block-membership: the drawn database I must

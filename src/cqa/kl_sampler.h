@@ -16,8 +16,12 @@ namespace cqa {
 ///
 /// The prefix-rejection test runs over the shared ImageIndex: instead of
 /// re-testing containment of every image j < i against the drawn database
-/// (Θ(Σ_{j<i} |H_j|) per draw), it walks only the images that share a
-/// drawn fact and stops at the first completed j < i.
+/// (Θ(Σ_{j<i} |H_j|) per draw), it rejects at once when a certain image
+/// (wholly in size-1 blocks, so in every database) precedes i, and
+/// otherwise walks only the images that share a drawn conflict fact,
+/// stopping at the first completed j < i. Per-draw cost is that of
+/// SymbolicSpace::SampleElement plus Θ(#conflict blocks +
+/// Σ_{drawn conflict facts} |images containing that fact|).
 class KlSampler : public Sampler {
  public:
   /// The space (and its synopsis) must outlive the sampler.

@@ -16,8 +16,9 @@ double KlmSampler::DrawImpl(Rng& rng, size_t* witnesses) {
   // Acceptance implies block-membership: H_i ⊆ I guarantees the
   // multiplicity count below finds k >= 1 covering images.
   CQA_AUDIT(audit::CheckSampledElement, *space_, i, scratch_);
-  size_t k = 0;
-  index_.ForEachContainedImage(scratch_, [&k](uint32_t) {
+  // Certain images witness every I; the index counts the others.
+  size_t k = index_.num_certain_images();
+  index_.ForEachCompletedImage(scratch_, [&k](uint32_t) {
     ++k;
     return false;  // Count every witness; never stop early.
   });

@@ -16,9 +16,12 @@ namespace cqa {
 /// expectation as SampleKL but smaller variance at the price of counting
 /// every witness instead of stopping at the first.
 ///
-/// The witness count runs over the shared ImageIndex: only images sharing
-/// a drawn fact are visited, instead of re-testing containment of all of
-/// H against the drawn database.
+/// The witness count runs over the shared ImageIndex: the certain images
+/// (wholly in size-1 blocks) are counted once at construction, and only
+/// images sharing a drawn conflict fact are visited, instead of
+/// re-testing containment of all of H against the drawn database. Per
+/// draw that is SymbolicSpace::SampleElement plus Θ(#conflict blocks +
+/// Σ_{drawn conflict facts} |images containing that fact|).
 class KlmSampler : public Sampler {
  public:
   /// The space (and its synopsis) must outlive the sampler.

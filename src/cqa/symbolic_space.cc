@@ -15,8 +15,32 @@ SymbolicSpace::SymbolicSpace(const Synopsis* synopsis)
   CQA_OBS_COUNT("symbolic_space.builds");
   CQA_OBS_OBSERVE("symbolic_space.num_images", synopsis->NumImages());
   CQA_OBS_OBSERVE("symbolic_space.num_blocks", synopsis->blocks().size());
-  weights_ = synopsis->ImageWeights();
-  const size_t n = weights_.size();
+  // One pass over the images computes each weight w_i = Π 1/|block| (the
+  // arithmetic of Synopsis::ImageWeights, which the audit compares
+  // against bit for bit) and copies the image's facts into the flat pin
+  // array. A fact is kept only when its block has size >= 2: the write
+  // position advances by that test, so there is no per-fact branch.
+  const std::vector<Synopsis::Block>& blocks = synopsis->blocks();
+  const std::vector<Synopsis::Image>& images = synopsis->images();
+  const size_t n = images.size();
+  size_t num_facts = 0;
+  for (const Synopsis::Image& image : images) num_facts += image.facts.size();
+  weights_.resize(n);
+  pins_.resize(num_facts);
+  pin_offsets_.resize(n + 1);
+  uint32_t end = 0;
+  for (size_t i = 0; i < n; ++i) {
+    pin_offsets_[i] = end;
+    double w = 1.0;
+    for (const Synopsis::ImageFact& f : images[i].facts) {
+      w /= static_cast<double>(blocks[f.block].size);
+      pins_[end] = f;
+      end += blocks[f.block].size >= 2;
+    }
+    weights_[i] = w;
+  }
+  pin_offsets_[n] = end;
+  pins_.resize(end);
   double acc = 0.0;
   for (double w : weights_) {
     CQA_CHECK(w > 0.0);
@@ -72,15 +96,15 @@ size_t SymbolicSpace::SampleElement(Rng& rng,
   // Pick I uniformly among the databases containing H_i: every block is
   // free except those pinned by the image. The tid draws come packed out
   // of the digit plan — a couple of engine words for the whole sample
-  // instead of one per block.
-  const std::vector<Synopsis::Block>& blocks = synopsis_->blocks();
-  choice->resize(blocks.size());
+  // instead of one per block. Size-1 blocks are skipped: their entry
+  // stays 0, and the plan would take no entropy from them anyway.
+  choice->resize(synopsis_->NumBlocks());
   TidDigitPlan::Stream stream;
-  for (size_t b = 0; b < blocks.size(); ++b) {
+  for (uint32_t b : digits_.conflict_blocks()) {
     (*choice)[b] = digits_.Next(rng, b, &stream);
   }
-  for (const Synopsis::ImageFact& f : synopsis_->images()[i].facts) {
-    (*choice)[f.block] = f.tid;
+  for (uint32_t p = pin_offsets_[i]; p < pin_offsets_[i + 1]; ++p) {
+    (*choice)[pins_[p].block] = pins_[p].tid;
   }
   // (i, I) ∈ S• by construction: H_i's facts were just pinned into I.
   CQA_AUDIT(audit::CheckSampledElement, *this, i, *choice);

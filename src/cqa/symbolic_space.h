@@ -65,9 +65,25 @@ class SymbolicSpace {
     return static_cast<uint64_t>(m) < alias_cut_[k] ? k : alias_[k];
   }
 
-  /// Draws (i, I) uniformly from S•. Overwrites *choice (resized to the
-  /// number of blocks) with I and returns i.
+  /// Draws (i, I) uniformly from S• and returns i. Costs the alias word
+  /// plus the digit-plan words and writes of the blocks of size >= 2;
+  /// size-1 blocks cost nothing. Resizes *choice to the number of blocks
+  /// and writes I's entries for the blocks of size >= 2 only: resize
+  /// zero-fills new entries, and a size-1 block's only tid is 0, so its
+  /// entry must already be 0. Pass an empty choice or one that only
+  /// SampleElement calls on this space have written.
   size_t SampleElement(Rng& rng, Synopsis::Choice* choice) const;
+
+  /// True iff image i is contained in `choice`, any database of db(B)
+  /// (every entry in range). Reads only H_i's facts in blocks of size
+  /// >= 2 — a size-1 block's entry is always its fact — from one flat
+  /// array. Same answer as Synopsis::ImageContainedIn.
+  bool ImageContainedIn(size_t i, const Synopsis::Choice& choice) const {
+    for (uint32_t p = pin_offsets_[i]; p < pin_offsets_[i + 1]; ++p) {
+      if (choice[pins_[p].block] != pins_[p].tid) return false;
+    }
+    return true;
+  }
 
  private:
   const Synopsis* synopsis_;
@@ -78,9 +94,13 @@ class SymbolicSpace {
   std::vector<double> alias_prob_;
   std::vector<uint64_t> alias_cut_;
   std::vector<uint32_t> alias_;
-  // Refill schedule for packing all free-block tid draws of one sample
-  // into ~⌈Σ log2 |block|/32⌉ engine words.
+  // Refill schedule packing the tid draws of one sample's blocks of size
+  // >= 2 into ~⌈Σ log2 |block|/32⌉ engine words.
   TidDigitPlan digits_;
+  // Flat CSR of each image's facts in blocks of size >= 2: image i pins
+  // pins_[pin_offsets_[i] .. pin_offsets_[i + 1]).
+  std::vector<uint32_t> pin_offsets_;
+  std::vector<Synopsis::ImageFact> pins_;
   double total_weight_ = 0.0;
 };
 

@@ -7,14 +7,16 @@
 #include <map>
 
 #include "common/math_util.h"
-#include "cqa/natural_sampler.h"
 #include "cqa/symbolic_space.h"
 #include "storage/block_index.h"
 #include "storage/repairs.h"
+#include "natural_sampler.h"
 #include "test_util.h"
 
 namespace cqa {
 namespace {
+
+using testing::NaturalSampler;
 
 TEST(ChiSquareTest, StatisticBasics) {
   // Perfect fit has statistic 0.

@@ -22,11 +22,26 @@ Synopsis::Choice RandomChoice(const Synopsis& s, Rng& rng) {
   return choice;
 }
 
-/// The completed-image set reported by the index, sorted.
-std::vector<uint32_t> IndexedContained(ImageIndex& index,
+/// The images with no fact in a block of size >= 2, ascending.
+std::vector<uint32_t> CertainImages(const Synopsis& s) {
+  std::vector<uint32_t> certain;
+  for (uint32_t i = 0; i < s.NumImages(); ++i) {
+    bool all_size1 = true;
+    for (const Synopsis::ImageFact& f : s.images()[i].facts) {
+      all_size1 = all_size1 && s.blocks()[f.block].size == 1;
+    }
+    if (all_size1) certain.push_back(i);
+  }
+  return certain;
+}
+
+/// The contained-image set the index reports: the certain images plus
+/// the completed ones, sorted.
+std::vector<uint32_t> IndexedContained(const Synopsis& s, ImageIndex& index,
                                        const Synopsis::Choice& choice) {
-  std::vector<uint32_t> contained;
-  index.ForEachContainedImage(choice, [&](uint32_t image) {
+  std::vector<uint32_t> contained = CertainImages(s);
+  EXPECT_EQ(index.num_certain_images(), contained.size());
+  index.ForEachCompletedImage(choice, [&](uint32_t image) {
     contained.push_back(image);
     return false;
   });
@@ -52,7 +67,7 @@ TEST(ImageIndexTest, MatchesNaiveContainmentScan) {
     Rng rng(500 + t);
     for (int d = 0; d < 200; ++d) {
       Synopsis::Choice choice = RandomChoice(s, rng);
-      EXPECT_EQ(IndexedContained(index, choice), NaiveContained(s, choice))
+      EXPECT_EQ(IndexedContained(s, index, choice), NaiveContained(s, choice))
           << s.DebugString();
     }
   }
@@ -68,8 +83,8 @@ TEST(ImageIndexTest, GenerationStampsIsolateConsecutiveDraws) {
   Rng rng(7);
   for (int d = 0; d < 100; ++d) {
     Synopsis::Choice choice = RandomChoice(s, rng);
-    std::vector<uint32_t> first = IndexedContained(index, choice);
-    std::vector<uint32_t> second = IndexedContained(index, choice);
+    std::vector<uint32_t> first = IndexedContained(s, index, choice);
+    std::vector<uint32_t> second = IndexedContained(s, index, choice);
     EXPECT_EQ(first, second);
     EXPECT_EQ(first, NaiveContained(s, choice));
   }
@@ -85,7 +100,7 @@ TEST(ImageIndexTest, EarlyStopReturnsTrueAndHaltsScan) {
   s.AddImage({{0, 0}, {1, 1}});
   ImageIndex index(&s);
   size_t calls = 0;
-  bool stopped = index.ForEachContainedImage({0, 1}, [&](uint32_t image) {
+  bool stopped = index.ForEachCompletedImage({0, 1}, [&](uint32_t image) {
     ++calls;
     EXPECT_EQ(image, 0u);  // Image 0 completes first (single fact).
     return true;
@@ -142,6 +157,52 @@ TEST(ImageIndexTest, IncrementalAddFactCompletesAtLastBlock) {
   EXPECT_FALSE(index.AddFact(0, 1, never));  // 1 of 2 facts.
   EXPECT_FALSE(index.AddFact(1, 2, never));  // Unrelated block.
   EXPECT_TRUE(index.AddFact(2, 0, never));   // Completes the image.
+}
+
+TEST(ImageIndexTest, AddFactOnSize1BlockIsNoOp) {
+  // A size-1 block's fact is in every database, so no list holds it: the
+  // image below completes on its one conflict fact alone.
+  Synopsis s;
+  s.AddBlock(Synopsis::Block{1, 0, 0});
+  s.AddBlock(Synopsis::Block{2, 0, 1});
+  s.AddImage({{0, 0}, {1, 1}});
+  ImageIndex index(&s);
+  index.BeginDraw();
+  size_t calls = 0;
+  auto count = [&](uint32_t) {
+    ++calls;
+    return false;
+  };
+  EXPECT_FALSE(index.AddFact(0, 0, count));
+  EXPECT_EQ(calls, 0u);
+  EXPECT_FALSE(index.AddFact(1, 1, count));
+  EXPECT_EQ(calls, 1u);
+}
+
+TEST(ImageIndexTest, CertainImageIsReportedOnEveryChoice) {
+  // Image 1 lies wholly in the size-1 block 1: every database contains
+  // it. Check all six databases against the naive scan.
+  Synopsis s;
+  s.AddBlock(Synopsis::Block{2, 0, 0});
+  s.AddBlock(Synopsis::Block{1, 0, 1});
+  s.AddBlock(Synopsis::Block{3, 0, 2});
+  s.AddImage({{0, 1}, {2, 0}});
+  s.AddImage({{1, 0}});
+  s.AddImage({{0, 0}, {1, 0}});
+  ImageIndex index(&s);
+  EXPECT_EQ(index.num_certain_images(), 1u);
+  EXPECT_EQ(index.first_certain_image(), 1u);
+  EXPECT_EQ(index.certain_witness(), 1u);
+  EXPECT_EQ(index.last_block(1), 1u);
+  for (uint32_t a = 0; a < 2; ++a) {
+    for (uint32_t c = 0; c < 3; ++c) {
+      const Synopsis::Choice choice = {a, 0, c};
+      const std::vector<uint32_t> contained =
+          IndexedContained(s, index, choice);
+      EXPECT_EQ(contained, NaiveContained(s, choice));
+      EXPECT_TRUE(std::binary_search(contained.begin(), contained.end(), 1u));
+    }
+  }
 }
 
 }  // namespace

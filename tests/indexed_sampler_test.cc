@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "cqa/exact.h"
-#include "cqa/natural_sampler.h"
+#include "natural_sampler.h"
 #include "test_util.h"
 
 namespace cqa {
@@ -11,6 +11,7 @@ namespace {
 
 using testing::EmpiricalMean;
 using testing::MakeRandomSynopsis;
+using testing::NaturalSampler;
 
 TEST(IndexedNaturalSamplerTest, AgreesWithPlainSamplerDrawByDraw) {
   // Same RNG stream, same per-block draw order: the two samplers must

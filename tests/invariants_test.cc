@@ -200,13 +200,13 @@ TEST(InvariantsTest, MonteCarloResultConsistency) {
 TEST(InvariantsTest, CoverageResultRespectsBudget) {
   CoverageResult good;
   good.normalized_estimate = 0.5;
-  good.steps = 101;  // The loop may overshoot the budget by one step.
+  good.steps = 100;  // A run that exhausts its budget stops at N steps.
   good.trials = 30;
   std::string why;
   EXPECT_TRUE(audit::CheckCoverageResult(good, 100, &why)) << why;
 
   CoverageResult overran = good;
-  overran.steps = 102;
+  overran.steps = 101;
   EXPECT_FALSE(audit::CheckCoverageResult(overran, 100, &why));
   EXPECT_NE(why.find("budget"), std::string::npos) << why;
 

@@ -224,14 +224,12 @@ TEST(RegistryTest, SchemesPopulateSamplerCounters) {
   PreprocessResult pre = BuildSynopses(*fx.db, q);
   uint64_t draws_before = reg.CounterValue("sampler.kl.draws") +
                           reg.CounterValue("sampler.klm.draws") +
-                          reg.CounterValue("sampler.natural.draws") +
                           reg.CounterValue("sampler.indexed_natural.draws");
   uint64_t runs_before = reg.CounterValue("harness.scheme_runs");
   Rng rng(5);
   RunAllSchemes(pre, ApxParams{}, 10.0, rng);
   uint64_t draws_after = reg.CounterValue("sampler.kl.draws") +
                          reg.CounterValue("sampler.klm.draws") +
-                         reg.CounterValue("sampler.natural.draws") +
                          reg.CounterValue("sampler.indexed_natural.draws");
   EXPECT_GT(draws_after, draws_before);
   EXPECT_EQ(reg.CounterValue("harness.scheme_runs"), runs_before + 4);

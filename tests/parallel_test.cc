@@ -4,14 +4,15 @@
 
 #include "cqa/exact.h"
 #include "cqa/klm_sampler.h"
-#include "cqa/natural_sampler.h"
 #include "cqa/schemes.h"
+#include "natural_sampler.h"
 #include "test_util.h"
 
 namespace cqa {
 namespace {
 
 using testing::MakeRandomSynopsis;
+using testing::NaturalSampler;
 
 TEST(ParallelMonteCarloTest, SingleThreadMatchesSerialImplementation) {
   Rng gen(1);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 namespace cqa {
 namespace {
 
@@ -95,6 +97,10 @@ struct BadCase {
   const char* text;
   const char* reason;
 };
+
+// Prints a case as its reason, which also names the ctest entry. The default
+// printer dumps the bytes of the two pointers, which ASLR changes every run.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.reason; }
 
 class ParserErrorTest : public ::testing::TestWithParam<BadCase> {};
 

@@ -7,7 +7,7 @@
 #include "cqa/indexed_natural_sampler.h"
 #include "cqa/kl_sampler.h"
 #include "cqa/klm_sampler.h"
-#include "cqa/natural_sampler.h"
+#include "natural_sampler.h"
 #include "test_util.h"
 
 namespace cqa {
@@ -15,6 +15,7 @@ namespace {
 
 using testing::EmpiricalMean;
 using testing::MakeRandomSynopsis;
+using testing::NaturalSampler;
 
 constexpr size_t kDraws = 60000;
 // 3-sigma band for a [0,1]-valued mean over kDraws samples.
@@ -175,6 +176,96 @@ TEST(DrawBatchStreamTest, AllSamplersMatchRepeatedDraw) {
     SymbolicSpace space(&s);
     ExpectBatchMatchesRepeatedDraw<KlSampler>(&space, 200 + t);
     ExpectBatchMatchesRepeatedDraw<KlmSampler>(&space, 200 + t);
+  }
+}
+
+TEST(SamplerFoldTest, AllSize1SynopsisDrawCost) {
+  // One database only: Natural needs no entropy at all, and KL/KLM spend
+  // exactly the alias word.
+  Synopsis s;
+  for (size_t b = 0; b < 4; ++b) s.AddBlock(Synopsis::Block{1, 0, b});
+  s.AddImage({{0, 0}});
+  s.AddImage({{1, 0}, {2, 0}});
+  s.AddImage({{3, 0}});
+  SymbolicSpace space(&s);
+  IndexedNaturalSampler natural(&s);
+  KlSampler kl(&space);
+  KlmSampler klm(&space);
+  Rng rng(8);
+  for (int d = 0; d < 50; ++d) {
+    Rng before = rng;
+    EXPECT_EQ(natural.Draw(rng), 1.0);
+    EXPECT_TRUE(rng.engine() == before.engine());
+
+    before.engine().discard(1);
+    kl.Draw(rng);
+    EXPECT_TRUE(rng.engine() == before.engine());
+
+    before.engine().discard(1);
+    EXPECT_DOUBLE_EQ(klm.Draw(rng), 1.0 / 3.0);
+    EXPECT_TRUE(rng.engine() == before.engine());
+  }
+}
+
+TEST(SamplerFoldTest, CertainImageRejectsEveryKlIndexAboveIt) {
+  // Image 1 lies in every database. KL must reject every drawn i > 1, and
+  // KLM must count image 1 on every draw. A lockstep copy of the stream
+  // replays SampleElement to learn each draw's i and choice.
+  Synopsis s;
+  s.AddBlock(Synopsis::Block{3, 0, 0});
+  s.AddBlock(Synopsis::Block{1, 0, 1});
+  s.AddBlock(Synopsis::Block{2, 0, 2});
+  s.AddImage({{0, 2}, {2, 1}});
+  s.AddImage({{1, 0}});
+  s.AddImage({{0, 0}});
+  s.AddImage({{0, 1}, {1, 0}, {2, 0}});
+  SymbolicSpace space(&s);
+  KlSampler kl(&space);
+  KlmSampler klm(&space);
+  Rng rng(9), replay(9);
+  Synopsis::Choice choice;
+  size_t above = 0;
+  for (int d = 0; d < 2000; ++d) {
+    size_t i = space.SampleElement(replay, &choice);
+    double v = kl.Draw(rng);
+    ASSERT_TRUE(rng.engine() == replay.engine());
+    if (i > 1) {
+      ++above;
+      EXPECT_EQ(v, 0.0) << "i = " << i;
+    }
+
+    i = space.SampleElement(replay, &choice);
+    size_t k = 0;
+    for (size_t j = 0; j < s.NumImages(); ++j) {
+      k += s.ImageContainedIn(j, choice) ? 1 : 0;
+    }
+    ASSERT_TRUE(s.ImageContainedIn(1, choice));
+    EXPECT_EQ(klm.Draw(rng), 1.0 / static_cast<double>(k));
+    ASSERT_TRUE(rng.engine() == replay.engine());
+  }
+  EXPECT_GT(above, 0u);
+}
+
+TEST(SymbolicSpaceTest, ReusedChoiceKeepsSize1EntriesZero) {
+  // SampleElement writes only the entries of blocks of size >= 2; a
+  // choice reused across draws must keep every size-1 entry at 0.
+  Rng gen(10);
+  for (int t = 0; t < 20; ++t) {
+    Synopsis s =
+        testing::MakeSynopsisWithSize1Share(gen, 12, 4, 0.5, 0.25, 6, 3);
+    SymbolicSpace space(&s);
+    Rng rng(11 + t);
+    Synopsis::Choice choice;
+    for (int d = 0; d < 200; ++d) {
+      size_t i = space.SampleElement(rng, &choice);
+      ASSERT_EQ(choice.size(), s.NumBlocks());
+      for (size_t b = 0; b < s.NumBlocks(); ++b) {
+        if (s.blocks()[b].size == 1) {
+          ASSERT_EQ(choice[b], 0u) << "block " << b;
+        }
+      }
+      ASSERT_TRUE(s.ImageContainedIn(i, choice)) << s.DebugString();
+    }
   }
 }
 

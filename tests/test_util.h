@@ -1,6 +1,7 @@
 #ifndef CQABENCH_TESTS_TEST_UTIL_H_
 #define CQABENCH_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -59,6 +60,49 @@ inline Synopsis MakeRandomSynopsis(Rng& rng, size_t num_blocks,
           static_cast<uint32_t>(b),
           static_cast<uint32_t>(
               rng.UniformIndex(synopsis.blocks()[b].size))});
+    }
+    synopsis.AddImage(std::move(facts));
+  }
+  return synopsis;
+}
+
+/// A random admissible pair (H, B) with a chosen share of size-1 blocks,
+/// for the tests of the size-1 fold. Each of the `num_blocks` blocks has
+/// size 1 with probability `size1_share`, else a size in
+/// [2, max_block_size]. Up to `max_images` images touch up to
+/// `max_image_facts` blocks each; with probability `certain_share` an
+/// image takes all its facts from size-1 blocks (when there are any), so
+/// it lies in every database. MakeRandomSynopsis's draws stay as they
+/// are: its seeded callers do not change.
+inline Synopsis MakeSynopsisWithSize1Share(Rng& rng, size_t num_blocks,
+                                           size_t max_block_size,
+                                           double size1_share,
+                                           double certain_share,
+                                           size_t max_images,
+                                           size_t max_image_facts) {
+  Synopsis synopsis;
+  std::vector<uint32_t> size1_blocks;
+  for (size_t b = 0; b < num_blocks; ++b) {
+    size_t size = 1;
+    if (!rng.Bernoulli(size1_share)) {
+      size = 2 + rng.UniformIndex(max_block_size - 1);
+    } else {
+      size1_blocks.push_back(static_cast<uint32_t>(b));
+    }
+    synopsis.AddBlock(Synopsis::Block{size, 0, b});
+  }
+  size_t num_images = 1 + rng.UniformIndex(max_images);
+  for (size_t i = 0; i < num_images; ++i) {
+    const bool certain = !size1_blocks.empty() && rng.Bernoulli(certain_share);
+    const size_t pool = certain ? size1_blocks.size() : num_blocks;
+    size_t num_facts = 1 + rng.UniformIndex(std::min(max_image_facts, pool));
+    std::vector<Synopsis::ImageFact> facts;
+    for (size_t k : rng.SampleWithoutReplacement(pool, num_facts)) {
+      const uint32_t b =
+          certain ? size1_blocks[k] : static_cast<uint32_t>(k);
+      facts.push_back(Synopsis::ImageFact{
+          b, static_cast<uint32_t>(
+                 rng.UniformIndex(synopsis.blocks()[b].size))});
     }
     synopsis.AddImage(std::move(facts));
   }
