@@ -39,12 +39,13 @@ int main() {
   NoiseOptions noise;
   noise.p = 0.4;
   NoiseStats stats = AddQueryAwareNoise(d.db.get(), q, noise, rng);
-  BlockIndex index = BlockIndex::Build(*d.db);
+  // The database's block index, built here once; BuildSynopses below
+  // reuses it.
   std::printf(
       "noise: %zu query-relevant facts, %zu selected, %zu facts added; "
       "%.1f%% of facts now sit in conflicting blocks\n",
       stats.relevant_facts, stats.selected_facts, stats.facts_added,
-      100.0 * index.InconsistencyRatio(*d.db));
+      100.0 * d.db->block_index()->InconsistencyRatio(*d.db));
 
   // 4. Preprocess once, report the dynamic parameters of §6.1.
   PreprocessResult pre = BuildSynopses(*d.db, q);

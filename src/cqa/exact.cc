@@ -134,15 +134,15 @@ std::optional<double> ExactRelativeFrequencyByRepairs(
     const Database& db, const ConjunctiveQuery& q, const Tuple& answer,
     size_t max_repairs) {
   CQA_CHECK(answer.size() == q.answer_vars().size());
-  BlockIndex index = BlockIndex::Build(db);
-  if (CountRepairsLog10(db, index) >
+  const std::shared_ptr<const BlockIndex> index = db.block_index();
+  if (CountRepairsLog10(db, *index) >
       std::log10(static_cast<double>(max_repairs))) {
     return std::nullopt;
   }
   ConjunctiveQuery bound = q.BindAnswer(answer);
   size_t hits = 0;
   size_t total = 0;
-  ForEachRepair(db, index, [&](const std::vector<FactRef>& selection) {
+  ForEachRepair(db, *index, [&](const std::vector<FactRef>& selection) {
     Database repair = MaterializeRepair(db, selection);
     CqEvaluator evaluator(&repair);
     ++total;
@@ -157,14 +157,14 @@ std::optional<bool> IsCertainAnswerByRepairs(const Database& db,
                                              const Tuple& answer,
                                              size_t max_repairs) {
   CQA_CHECK(answer.size() == q.answer_vars().size());
-  BlockIndex index = BlockIndex::Build(db);
-  if (CountRepairsLog10(db, index) >
+  const std::shared_ptr<const BlockIndex> index = db.block_index();
+  if (CountRepairsLog10(db, *index) >
       std::log10(static_cast<double>(max_repairs))) {
     return std::nullopt;
   }
   ConjunctiveQuery bound = q.BindAnswer(answer);
   bool certain = true;
-  ForEachRepair(db, index, [&](const std::vector<FactRef>& selection) {
+  ForEachRepair(db, *index, [&](const std::vector<FactRef>& selection) {
     Database repair = MaterializeRepair(db, selection);
     CqEvaluator evaluator(&repair);
     if (!evaluator.HasAnswer(bound)) {

@@ -77,7 +77,7 @@ std::vector<FactRef> PreprocessResult::ImageFactRefs() const {
       for (const Synopsis::ImageFact& f : image.facts) {
         const Synopsis::Block& b = blocks[f.block];
         size_t row =
-            block_index_.relation(b.relation_id).block(b.block_id)[f.tid];
+            block_index_->relation(b.relation_id).block(b.block_id)[f.tid];
         facts.insert(FactRef{b.relation_id, row});
       }
     }
@@ -95,10 +95,11 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
   // The columnar plane (chunk tiling, dictionaries, pruning statistics)
   // must be structurally sound before block construction trusts it.
   CQA_AUDIT(audit::CheckColumnarStorage, db);
-  BlockIndex block_index = BlockIndex::Build(db);
+  const std::shared_ptr<const BlockIndex> shared_index = db.block_index();
+  const BlockIndex& block_index = *shared_index;
   // Synopses encode blocks by (relation, block, tid) coordinates; a block
-  // structure that fails to partition the relations corrupts every
-  // estimate downstream.
+  // structure that fails to partition the relations (for instance a
+  // shared index that went stale) corrupts every estimate downstream.
   CQA_AUDIT(audit::CheckBlockPartition, db, block_index);
   PreprocessStats stats;
 
@@ -116,7 +117,7 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
     // consistency: h(Q) |= Σ iff no block receives two distinct tuples.
     image.clear();
     for (const FactRef& f : h.image) {
-      const BlockAnnotation& ann =
+      const BlockAnnotation ann =
           block_index.relation(f.relation_id).annotation(f.row);
       image.push_back(GlobalFact{f.relation_id, ann.block_id, ann.tuple_id});
     }
@@ -172,7 +173,7 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
   CQA_OBS_COUNT_N("preprocess.homomorphisms", stats.num_homomorphisms);
   CQA_OBS_COUNT_N("preprocess.consistent_images", stats.num_images);
   CQA_OBS_COUNT_N("preprocess.answers", answers.size());
-  return PreprocessResult(std::move(answers), std::move(block_index), stats);
+  return PreprocessResult(std::move(answers), shared_index, stats);
 }
 
 }  // namespace cqa

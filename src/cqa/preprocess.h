@@ -8,6 +8,7 @@
 #ifndef CQABENCH_CQA_PREPROCESS_H_
 #define CQABENCH_CQA_PREPROCESS_H_
 
+#include <memory>
 #include <vector>
 
 #include "cqa/synopsis.h"
@@ -36,18 +37,20 @@ struct PreprocessStats {
 };
 
 /// Output of the preprocessing step of §5: the set syn_{Σ,Q}(D) of pairs
-/// (t̄, (H, B)), with only-positive-frequency answers included, plus the
-/// block structure of the database it was computed against.
+/// (t̄, (H, B)), with only-positive-frequency answers included, plus a
+/// reference to the block structure of the database it was computed
+/// against (the database's shared index, not a copy).
 class PreprocessResult {
  public:
-  PreprocessResult(std::vector<AnswerSynopsis> answers, BlockIndex index,
+  PreprocessResult(std::vector<AnswerSynopsis> answers,
+                   std::shared_ptr<const BlockIndex> index,
                    PreprocessStats stats)
       : answers_(std::move(answers)),
         block_index_(std::move(index)),
         stats_(stats) {}
 
   const std::vector<AnswerSynopsis>& answers() const { return answers_; }
-  const BlockIndex& block_index() const { return block_index_; }
+  const BlockIndex& block_index() const { return *block_index_; }
   const PreprocessStats& stats() const { return stats_; }
 
   size_t NumAnswers() const { return answers_.size(); }
@@ -64,14 +67,15 @@ class PreprocessResult {
 
  private:
   std::vector<AnswerSynopsis> answers_;
-  BlockIndex block_index_;
+  std::shared_ptr<const BlockIndex> block_index_;
   PreprocessStats stats_;
 };
 
 /// The preprocessing step: computes syn_{Σ,Q}(D) in one pass.
 ///
 /// Mirrors the paper's SQL rewriting Q^rew (Appendix C): annotate every
-/// fact with (rid, bid, tid, kcnt) via the block index, enumerate all
+/// fact with (rid, bid, tid, kcnt) via the database's shared block index
+/// (Database::block_index, built on the first call), enumerate all
 /// homomorphisms, keep the consistent images (no block mapped to two
 /// distinct tuple ids), and group them by answer tuple h(x̄). Runs in time
 /// polynomial in ||D|| (Lemma 4.1).

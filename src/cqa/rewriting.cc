@@ -166,7 +166,7 @@ std::vector<QrewRow> ExecuteRewriting(const Database& db,
     row.answer = h.AnswerTuple(q);
     row.atoms.reserve(h.image.size());
     for (const FactRef& f : h.image) {
-      const BlockAnnotation& ann =
+      const BlockAnnotation ann =
           index.relation(f.relation_id).annotation(f.row);
       row.atoms.push_back(QrewRow::AtomAnnotation{
           f.relation_id, ann.block_id, ann.tuple_id, ann.block_size});
@@ -185,8 +185,8 @@ std::vector<QrewRow> ExecuteRewriting(const Database& db,
 PreprocessResult BuildSynopsesViaRewriting(const Database& db,
                                            const ConjunctiveQuery& q) {
   Stopwatch watch;
-  BlockIndex index = BlockIndex::Build(db);
-  std::vector<QrewRow> rows = ExecuteRewriting(db, q, index);
+  std::shared_ptr<const BlockIndex> index = db.block_index();
+  std::vector<QrewRow> rows = ExecuteRewriting(db, q, *index);
   PreprocessStats stats;
   stats.num_homomorphisms = rows.size();
 
@@ -255,8 +255,7 @@ PreprocessResult BuildSynopsesViaRewriting(const Database& db,
 
 void ForEachSynopsis(const Database& db, const ConjunctiveQuery& q,
                      const SynopsisCallback& fn) {
-  BlockIndex index = BlockIndex::Build(db);
-  std::vector<QrewRow> rows = ExecuteRewriting(db, q, index);
+  std::vector<QrewRow> rows = ExecuteRewriting(db, q, *db.block_index());
 
   // One answer's synopsis lives at a time; flushed at answer boundaries.
   bool open = false;

@@ -27,7 +27,7 @@ std::vector<DqgResult> GenerateBalancedQueries(
   // Enumerate homomorphisms once; record consistent ones and count the
   // globally distinct images (the balance denominator, independent of the
   // projection).
-  BlockIndex block_index = BlockIndex::Build(db);
+  const std::shared_ptr<const BlockIndex> block_index = db.block_index();
   std::set<std::vector<std::tuple<size_t, size_t, size_t>>> distinct_images;
   std::vector<HomRecord> homs;
   std::unordered_set<Tuple, TupleHash> distinct_assignments;
@@ -35,8 +35,8 @@ std::vector<DqgResult> GenerateBalancedQueries(
   evaluator.ForEachHomomorphism(q, [&](const Homomorphism& h) {
     std::vector<std::tuple<size_t, size_t, size_t>> image;
     for (const FactRef& f : h.image) {
-      const BlockAnnotation& ann =
-          block_index.relation(f.relation_id).annotation(f.row);
+      const BlockAnnotation ann =
+          block_index->relation(f.relation_id).annotation(f.row);
       image.emplace_back(f.relation_id, ann.block_id, ann.tuple_id);
     }
     std::sort(image.begin(), image.end());

@@ -27,7 +27,8 @@ struct EngineOptions {
   /// Synopsis-cache capacity in (database, Σ, Q) entries.
   size_t cache_entries = 64;
   /// Loaded-database cache capacity (a database is the expensive part:
-  /// .tbl parsing plus evaluation indexes).
+  /// .tbl parsing, evaluation indexes and the one block index that every
+  /// synopsis-cache entry for it references).
   size_t db_cache_entries = 4;
   /// Deadline applied when a request carries none. <= 0 means no limit.
   double default_deadline_s = 30.0;
@@ -39,7 +40,10 @@ struct EngineOptions {
 /// One loaded .tbl directory with its schema and evaluation indexes.
 /// `preprocess_mu` serializes synopsis builds on this database: the
 /// evaluator's DatabaseIndexCache is not thread-safe, so concurrent
-/// *misses* on one database queue up while hits proceed lock-free.
+/// *misses* on one database queue up while hits proceed lock-free. The
+/// first miss also builds the database's block index, under the leaf
+/// lock inside Database::block_index. Every cached result for this
+/// database shares that index and keeps it alive past eviction.
 struct LoadedDatabase {
   Schema schema;
   Database db;

@@ -30,7 +30,7 @@ bool CheckBlockPartition(const Database& db, const BlockIndex& index,
     std::vector<char> seen(rel.size(), 0);
     size_t covered = 0;
     for (size_t bid = 0; bid < rbi.NumBlocks(); ++bid) {
-      const std::vector<size_t>& rows = rbi.block(bid);
+      const std::span<const uint32_t> rows = rbi.block(bid);
       if (rows.empty()) {
         return Fail(why, "relation %zu: block %zu is empty (%zu)", rid, bid,
                     0);
@@ -49,7 +49,7 @@ bool CheckBlockPartition(const Database& db, const BlockIndex& index,
         }
         seen[row] = 1;
         ++covered;
-        const BlockAnnotation& ann = rbi.annotation(row);
+        const BlockAnnotation ann = rbi.annotation(row);
         if (ann.block_id != bid || ann.tuple_id != tid ||
             ann.block_size != rows.size()) {
           return Fail(why, "relation %zu: row %zu has annotation "
@@ -90,7 +90,7 @@ bool CheckRepairSelection(const Database& db, const BlockIndex& index,
                          "relation %zu",
                     pos, f.row, f.relation_id);
       }
-      const BlockAnnotation& ann = rbi.annotation(f.row);
+      const BlockAnnotation ann = rbi.annotation(f.row);
       if (ann.block_id != bid) {
         return Fail(why, "selection entry %zu picks a row of block %zu, "
                          "expected block %zu",

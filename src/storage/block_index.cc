@@ -1,12 +1,20 @@
 #include "storage/block_index.h"
 
-#include <algorithm>
+#include <unordered_map>
 
 #include "common/macros.h"
 
 namespace cqa {
 
 namespace {
+
+struct IntPairHash {
+  size_t operator()(const std::pair<int64_t, int64_t>& p) const {
+    size_t seed = std::hash<int64_t>()(p.first);
+    HashCombine(seed, std::hash<int64_t>()(p.second));
+    return seed;
+  }
+};
 
 /// Flattens an int column (decoding dictionary chunks) into one vector.
 std::vector<int64_t> DecodeIntColumn(const Relation& rel, size_t col) {
@@ -60,9 +68,11 @@ bool StrictlyAscending(const std::vector<int64_t>& v) {
 }  // namespace
 
 RelationBlockIndex RelationBlockIndex::Build(const Relation& rel) {
+  CQA_CHECK(rel.size() < (uint64_t{1} << 32));
   RelationBlockIndex index;
-  index.annotations_.resize(rel.size());
-  if (rel.empty()) return index;
+  index.tags_.resize(rel.size());
+  // Blocks number at most one per row; Finish trims the excess.
+  index.offsets_.reserve(rel.size() + 1);
 
   const RelationSchema& rs = rel.schema();
   const std::vector<size_t>& kp = rs.key_positions();
@@ -70,21 +80,26 @@ RelationBlockIndex RelationBlockIndex::Build(const Relation& rel) {
     return rs.attribute(pos).type == ValueType::kInt;
   };
   if (rs.has_key() && kp.size() == 1 && is_int(kp[0])) {
-    index.BuildIntKey(rel, kp[0]);
+    index.GroupIntKey(rel, kp[0]);
   } else if (rs.has_key() && kp.size() == 1 &&
              rs.attribute(kp[0]).type == ValueType::kString) {
-    index.BuildStringKey(rel, kp[0]);
+    index.GroupStringKey(rel, kp[0]);
   } else if (rs.has_key() && kp.size() == 2 && is_int(kp[0]) &&
              is_int(kp[1])) {
-    index.BuildIntPairKey(rel, kp[0], kp[1]);
+    index.GroupIntPairKey(rel, kp[0], kp[1]);
   } else {
-    index.BuildTupleKey(rel);
+    index.GroupTupleKey(rel);
   }
-  index.FinishSizes();
+  index.Finish();
   return index;
 }
 
-void RelationBlockIndex::BuildIntKey(const Relation& rel, size_t col) {
+void RelationBlockIndex::Append(size_t row, size_t bid) {
+  if (bid == offsets_.size()) offsets_.push_back(0);
+  tags_[row] = RowTag{static_cast<uint32_t>(bid), offsets_[bid]++};
+}
+
+void RelationBlockIndex::GroupIntKey(const Relation& rel, size_t col) {
   std::vector<int64_t> keys = DecodeIntColumn(rel, col);
   // Sorted-distinct fast path: when chunk statistics allow it and the
   // decoded column verifies strictly ascending, every key is distinct —
@@ -92,29 +107,19 @@ void RelationBlockIndex::BuildIntKey(const Relation& rel, size_t col) {
   // needs no hash table at all.
   if (ChunkBoundsAscending(rel, col, /*weak_bounds=*/false) &&
       StrictlyAscending(keys)) {
-    build_path_ = BuildPath::kSortedInt;
-    blocks_.resize(keys.size());
-    for (size_t row = 0; row < keys.size(); ++row) {
-      blocks_[row].push_back(row);
-      annotations_[row] = BlockAnnotation{row, 0, 0};
-    }
-    sorted_ints_ = std::move(keys);
+    for (size_t row = 0; row < keys.size(); ++row) Append(row, row);
     return;
   }
-  build_path_ = BuildPath::kInt;
-  block_by_int_.reserve(keys.size());
+  std::unordered_map<int64_t, size_t> block_of;
+  block_of.reserve(keys.size());
   for (size_t row = 0; row < keys.size(); ++row) {
-    auto [it, inserted] = block_by_int_.emplace(keys[row], blocks_.size());
-    if (inserted) blocks_.emplace_back();
-    std::vector<size_t>& block = blocks_[it->second];
-    annotations_[row] = BlockAnnotation{it->second, block.size(), 0};
-    block.push_back(row);
+    Append(row, block_of.emplace(keys[row], offsets_.size()).first->second);
   }
 }
 
-void RelationBlockIndex::BuildStringKey(const Relation& rel, size_t col) {
-  build_path_ = BuildPath::kString;
-  block_by_string_.reserve(rel.size());
+void RelationBlockIndex::GroupStringKey(const Relation& rel, size_t col) {
+  std::unordered_map<std::string, size_t> block_of;
+  block_of.reserve(rel.size());
   std::vector<size_t> code_block;  // Per-chunk code -> block id cache.
   rel.ForEachRun(col, [&](const ColumnRun& run) {
     if (run.encoding == SegmentEncoding::kDictionary) {
@@ -122,34 +127,26 @@ void RelationBlockIndex::BuildStringKey(const Relation& rel, size_t col) {
       // interning cache instead of rehashing the string.
       code_block.assign(run.dict_size, SIZE_MAX);
       for (size_t i = 0; i < run.length; ++i) {
-        uint32_t code = run.codes[i];
+        const uint32_t code = run.codes[i];
         size_t& cached = code_block[code];
         if (cached == SIZE_MAX) {
-          auto [it, inserted] =
-              block_by_string_.emplace(run.string_dict[code], blocks_.size());
-          if (inserted) blocks_.emplace_back();
-          cached = it->second;
+          cached =
+              block_of.emplace(run.string_dict[code], offsets_.size())
+                  .first->second;
         }
-        std::vector<size_t>& block = blocks_[cached];
-        annotations_[run.row0 + i] =
-            BlockAnnotation{cached, block.size(), 0};
-        block.push_back(run.row0 + i);
+        Append(run.row0 + i, cached);
       }
     } else {
       for (size_t i = 0; i < run.length; ++i) {
-        auto [it, inserted] =
-            block_by_string_.emplace(run.strings[i], blocks_.size());
-        if (inserted) blocks_.emplace_back();
-        std::vector<size_t>& block = blocks_[it->second];
-        annotations_[run.row0 + i] =
-            BlockAnnotation{it->second, block.size(), 0};
-        block.push_back(run.row0 + i);
+        Append(run.row0 + i,
+               block_of.emplace(run.strings[i], offsets_.size())
+                   .first->second);
       }
     }
   });
 }
 
-void RelationBlockIndex::BuildIntPairKey(const Relation& rel, size_t col_a,
+void RelationBlockIndex::GroupIntPairKey(const Relation& rel, size_t col_a,
                                          size_t col_b) {
   std::vector<int64_t> a = DecodeIntColumn(rel, col_a);
   std::vector<int64_t> b = DecodeIntColumn(rel, col_b);
@@ -162,104 +159,44 @@ void RelationBlockIndex::BuildIntPairKey(const Relation& rel, size_t col_a,
       ascending = a[i - 1] < a[i] || (a[i - 1] == a[i] && b[i - 1] < b[i]);
     }
     if (ascending) {
-      build_path_ = BuildPath::kSortedIntPair;
-      blocks_.resize(a.size());
-      sorted_int_pairs_.reserve(a.size());
-      for (size_t row = 0; row < a.size(); ++row) {
-        blocks_[row].push_back(row);
-        annotations_[row] = BlockAnnotation{row, 0, 0};
-        sorted_int_pairs_.emplace_back(a[row], b[row]);
-      }
+      for (size_t row = 0; row < a.size(); ++row) Append(row, row);
       return;
     }
   }
-  build_path_ = BuildPath::kIntPair;
-  block_by_int_pair_.reserve(a.size());
+  std::unordered_map<std::pair<int64_t, int64_t>, size_t, IntPairHash>
+      block_of;
+  block_of.reserve(a.size());
   for (size_t row = 0; row < a.size(); ++row) {
-    auto [it, inserted] = block_by_int_pair_.emplace(
-        std::make_pair(a[row], b[row]), blocks_.size());
-    if (inserted) blocks_.emplace_back();
-    std::vector<size_t>& block = blocks_[it->second];
-    annotations_[row] = BlockAnnotation{it->second, block.size(), 0};
-    block.push_back(row);
+    Append(row, block_of.emplace(std::make_pair(a[row], b[row]),
+                                 offsets_.size())
+                    .first->second);
   }
 }
 
-void RelationBlockIndex::BuildTupleKey(const Relation& rel) {
-  build_path_ = BuildPath::kTuple;
-  block_by_tuple_.reserve(rel.size());
+void RelationBlockIndex::GroupTupleKey(const Relation& rel) {
+  std::unordered_map<Tuple, size_t, TupleHash> block_of;
+  block_of.reserve(rel.size());
   for (size_t row = 0; row < rel.size(); ++row) {
-    Tuple key = rel.KeyOf(row);
-    auto [it, inserted] =
-        block_by_tuple_.emplace(std::move(key), blocks_.size());
-    if (inserted) blocks_.emplace_back();
-    std::vector<size_t>& block = blocks_[it->second];
-    annotations_[row] = BlockAnnotation{it->second, block.size(), 0};
-    block.push_back(row);
+    Append(row, block_of.emplace(rel.KeyOf(row), offsets_.size())
+                    .first->second);
   }
 }
 
-void RelationBlockIndex::FinishSizes() {
-  for (size_t bid = 0; bid < blocks_.size(); ++bid) {
-    const std::vector<size_t>& block = blocks_[bid];
-    if (block.size() > 1) ++conflicting_blocks_;
-    for (size_t row : block) {
-      annotations_[row].block_size = block.size();
-    }
+void RelationBlockIndex::Finish() {
+  uint32_t start = 0;
+  for (uint32_t& entry : offsets_) {
+    const uint32_t count = entry;
+    if (count > 1) ++conflicting_blocks_;
+    entry = start;
+    start += count;
   }
-}
-
-std::optional<size_t> RelationBlockIndex::FindBlock(const Tuple& key) const {
-  switch (build_path_) {
-    case BuildPath::kEmpty:
-      return std::nullopt;
-    case BuildPath::kTuple: {
-      auto it = block_by_tuple_.find(key);
-      if (it == block_by_tuple_.end()) return std::nullopt;
-      return it->second;
-    }
-    case BuildPath::kInt: {
-      if (key.size() != 1 || !key[0].is_int()) return std::nullopt;
-      auto it = block_by_int_.find(key[0].AsInt());
-      if (it == block_by_int_.end()) return std::nullopt;
-      return it->second;
-    }
-    case BuildPath::kString: {
-      if (key.size() != 1 || !key[0].is_string()) return std::nullopt;
-      auto it = block_by_string_.find(key[0].AsString());
-      if (it == block_by_string_.end()) return std::nullopt;
-      return it->second;
-    }
-    case BuildPath::kIntPair: {
-      if (key.size() != 2 || !key[0].is_int() || !key[1].is_int()) {
-        return std::nullopt;
-      }
-      auto it = block_by_int_pair_.find(
-          std::make_pair(key[0].AsInt(), key[1].AsInt()));
-      if (it == block_by_int_pair_.end()) return std::nullopt;
-      return it->second;
-    }
-    case BuildPath::kSortedInt: {
-      if (key.size() != 1 || !key[0].is_int()) return std::nullopt;
-      auto it = std::lower_bound(sorted_ints_.begin(), sorted_ints_.end(),
-                                 key[0].AsInt());
-      if (it == sorted_ints_.end() || *it != key[0].AsInt()) {
-        return std::nullopt;
-      }
-      return static_cast<size_t>(it - sorted_ints_.begin());
-    }
-    case BuildPath::kSortedIntPair: {
-      if (key.size() != 2 || !key[0].is_int() || !key[1].is_int()) {
-        return std::nullopt;
-      }
-      std::pair<int64_t, int64_t> want{key[0].AsInt(), key[1].AsInt()};
-      auto it = std::lower_bound(sorted_int_pairs_.begin(),
-                                 sorted_int_pairs_.end(), want);
-      if (it == sorted_int_pairs_.end() || *it != want) return std::nullopt;
-      return static_cast<size_t>(it - sorted_int_pairs_.begin());
-    }
+  offsets_.push_back(start);
+  offsets_.shrink_to_fit();
+  rows_.resize(start);
+  for (size_t row = 0; row < tags_.size(); ++row) {
+    rows_[offsets_[tags_[row].block_id] + tags_[row].tuple_id] =
+        static_cast<uint32_t>(row);
   }
-  return std::nullopt;
 }
 
 BlockIndex BlockIndex::Build(const Database& db) {
@@ -284,7 +221,8 @@ double BlockIndex::InconsistencyRatio(const Database& db) const {
     const RelationBlockIndex& rbi = per_relation_[id];
     total_facts += db.relation(id).size();
     for (size_t bid = 0; bid < rbi.NumBlocks(); ++bid) {
-      if (rbi.block(bid).size() > 1) conflicting_facts += rbi.block(bid).size();
+      const size_t size = rbi.block(bid).size();
+      if (size > 1) conflicting_facts += size;
     }
   }
   if (total_facts == 0) return 0.0;

@@ -7,13 +7,15 @@
 // typed hash maps with one dictionary probe per distinct code per chunk,
 // and key columns that chunk statistics prove strictly ascending skip
 // hashing entirely (every block is a singleton). Everything else falls
-// back to tuple-keyed grouping.
+// back to tuple-keyed grouping. The grouping maps live only while Build
+// runs; the built index is immutable and laid out as CSR with 32-bit
+// entries. A Database builds one lazily and shares it
+// (Database::block_index); see docs/storage.md.
 #ifndef CQABENCH_STORAGE_BLOCK_INDEX_H_
 #define CQABENCH_STORAGE_BLOCK_INDEX_H_
 
-#include <optional>
-#include <unordered_map>
-#include <utility>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "storage/database.h"
@@ -33,70 +35,62 @@ struct BlockAnnotation {
   size_t block_size = 0;
 };
 
-/// Blocks of one relation: facts grouped by key value.
+/// Blocks of one relation: facts grouped by key value. Relations are
+/// limited to 2^32 - 1 rows (Build checks).
 class RelationBlockIndex {
  public:
-  RelationBlockIndex() = default;
-
   /// Builds the index over `rel`. A relation without a key yields one
   /// block per distinct whole tuple (its facts are never in conflict).
   static RelationBlockIndex Build(const Relation& rel);
 
-  size_t NumBlocks() const { return blocks_.size(); }
+  size_t NumBlocks() const { return offsets_.size() - 1; }
 
   /// Row indexes of block `bid`, in tuple-id order.
-  const std::vector<size_t>& block(size_t bid) const { return blocks_[bid]; }
-
-  const BlockAnnotation& annotation(size_t row) const {
-    return annotations_[row];
+  std::span<const uint32_t> block(size_t bid) const {
+    return {rows_.data() + offsets_[bid], rows_.data() + offsets_[bid + 1]};
   }
 
-  /// Block holding the given key value, if any.
-  std::optional<size_t> FindBlock(const Tuple& key) const;
+  BlockAnnotation annotation(size_t row) const {
+    const RowTag& tag = tags_[row];
+    return BlockAnnotation{
+        tag.block_id, tag.tuple_id,
+        offsets_[tag.block_id + 1] - offsets_[tag.block_id]};
+  }
 
   /// Number of non-singleton blocks (blocks witnessing inconsistency).
   size_t NumConflictingBlocks() const { return conflicting_blocks_; }
 
-  /// Which grouping strategy Build picked (bench/test observability).
-  enum class BuildPath { kEmpty, kTuple, kInt, kString, kIntPair,
-                         kSortedInt, kSortedIntPair };
-  BuildPath build_path() const { return build_path_; }
-
  private:
-  struct IntPairHash {
-    size_t operator()(const std::pair<int64_t, int64_t>& p) const {
-      size_t seed = std::hash<int64_t>()(p.first);
-      HashCombine(seed, std::hash<int64_t>()(p.second));
-      return seed;
-    }
+  struct RowTag {
+    uint32_t block_id;
+    uint32_t tuple_id;
   };
 
-  void BuildIntKey(const Relation& rel, size_t col);
-  void BuildStringKey(const Relation& rel, size_t col);
-  void BuildIntPairKey(const Relation& rel, size_t col_a, size_t col_b);
-  void BuildTupleKey(const Relation& rel);
-  void FinishSizes();
+  RelationBlockIndex() = default;
 
-  std::vector<std::vector<size_t>> blocks_;
-  std::vector<BlockAnnotation> annotations_;
+  /// Gives `row` the next tuple id of block `bid`; bid == NumBlocks so
+  /// far opens a new block.
+  void Append(size_t row, size_t bid);
+  void GroupIntKey(const Relation& rel, size_t col);
+  void GroupStringKey(const Relation& rel, size_t col);
+  void GroupIntPairKey(const Relation& rel, size_t col_a, size_t col_b);
+  void GroupTupleKey(const Relation& rel);
+  /// Turns the per-block row counts into CSR offsets and fills rows_.
+  void Finish();
+
+  // Block b holds rows_[offsets_[b], offsets_[b + 1]). While Build
+  // groups, offsets_[b] counts block b's rows instead.
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> rows_;
+  std::vector<RowTag> tags_;  // Per row.
   size_t conflicting_blocks_ = 0;
-  BuildPath build_path_ = BuildPath::kEmpty;
-
-  // Key lookup: the structure matching build_path_ is populated.
-  std::unordered_map<Tuple, size_t, TupleHash> block_by_tuple_;
-  std::unordered_map<int64_t, size_t> block_by_int_;
-  std::unordered_map<std::string, size_t> block_by_string_;
-  std::unordered_map<std::pair<int64_t, int64_t>, size_t, IntPairHash>
-      block_by_int_pair_;
-  // Sorted paths: block id == row index; lookup is a binary search.
-  std::vector<int64_t> sorted_ints_;
-  std::vector<std::pair<int64_t, int64_t>> sorted_int_pairs_;
 };
 
 /// Block structure of a whole database: one RelationBlockIndex per relation.
 class BlockIndex {
  public:
-  /// Builds indexes for every relation of `db`.
+  /// Builds indexes for every relation of `db`. Library code reads the
+  /// database's shared index (Database::block_index) instead.
   static BlockIndex Build(const Database& db);
 
   const RelationBlockIndex& relation(size_t relation_id) const {

@@ -3,6 +3,8 @@
 #include <unordered_map>
 
 #include "common/macros.h"
+#include "obs/metrics.h"
+#include "storage/block_index.h"
 
 namespace cqa {
 
@@ -14,8 +16,10 @@ Database::Database(const Schema* schema) : schema_(schema) {
   }
 }
 
-Relation& Database::relation(const std::string& name) {
-  return relations_[schema_->RelationId(name)];
+Database::Database(Database&& other) noexcept : schema_(other.schema_) {
+  // The moved-from database keeps no index over relations it lost.
+  other.DropBlockIndex();
+  relations_ = std::move(other.relations_);
 }
 
 const Relation& Database::relation(const std::string& name) const {
@@ -24,6 +28,7 @@ const Relation& Database::relation(const std::string& name) const {
 
 FactRef Database::Insert(size_t relation_id, Tuple t) {
   CQA_CHECK(relation_id < relations_.size());
+  DropBlockIndex();
   size_t row = relations_[relation_id].Insert(std::move(t));
   return FactRef{relation_id, row};
 }
@@ -63,7 +68,30 @@ std::vector<KeyViolation> Database::FindKeyViolations(size_t limit) const {
 }
 
 void Database::SealStorage() {
+  DropBlockIndex();
   for (Relation& r : relations_) r.SealTail();
+}
+
+std::shared_ptr<const BlockIndex> Database::block_index() const {
+  std::shared_ptr<const BlockIndex> index;
+  bool built = false;
+  {
+    MutexLock lock(block_index_mu_);
+    if (block_index_ == nullptr) {
+      block_index_ =
+          std::make_shared<const BlockIndex>(BlockIndex::Build(*this));
+      built = true;
+    }
+    index = block_index_;
+  }
+  // Counted outside the lock: the metric registry takes its own mutex.
+  if (built) CQA_OBS_COUNT("storage.block_index_builds");
+  return index;
+}
+
+void Database::DropBlockIndex() {
+  MutexLock lock(block_index_mu_);
+  block_index_.reset();
 }
 
 size_t Database::MemoryBytes() const {

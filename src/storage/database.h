@@ -1,6 +1,7 @@
 // An in-memory database instance: one chunked-columnar Relation per
 // relation of a shared Schema, plus key-violation detection, storage
-// sealing (SealStorage) and the deep Clone the noise generator extends.
+// sealing (SealStorage), the deep Clone the noise generator extends, and
+// the lazily built block index every consumer shares (block_index).
 #ifndef CQABENCH_STORAGE_DATABASE_H_
 #define CQABENCH_STORAGE_DATABASE_H_
 
@@ -8,10 +9,13 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_annotations.h"
 #include "storage/relation.h"
 #include "storage/schema.h"
 
 namespace cqa {
+
+class BlockIndex;
 
 /// A key-constraint violation: two facts of the same relation that agree on
 /// the key but differ elsewhere.
@@ -27,13 +31,15 @@ struct KeyViolation {
 class Database {
  public:
   explicit Database(const Schema* schema);
+  /// Moves the relations; the new database starts with no block index.
+  Database(Database&& other) noexcept;
 
   const Schema& schema() const { return *schema_; }
   size_t NumRelations() const { return relations_.size(); }
 
-  Relation& relation(size_t id) { return relations_[id]; }
+  // Relations are read-only from outside: Insert and SealStorage are the
+  // only mutators, so the cached block index cannot go stale unseen.
   const Relation& relation(size_t id) const { return relations_[id]; }
-  Relation& relation(const std::string& name);
   const Relation& relation(const std::string& name) const;
 
   /// Appends a fact to relation `relation_id`.
@@ -52,6 +58,13 @@ class Database {
   /// built instances carry encodings and chunk statistics end to end.
   void SealStorage();
 
+  /// The block index of the current contents. The first call builds it
+  /// (concurrent first callers wait for that one build); later calls
+  /// return the same immutable object until Insert or SealStorage drops
+  /// it. Holders keep a dropped index alive. Thread-safe.
+  std::shared_ptr<const BlockIndex> block_index() const
+      CQA_EXCLUDES(block_index_mu_);
+
   /// Heap footprint of all relations' storage, in bytes.
   size_t MemoryBytes() const;
 
@@ -63,13 +76,20 @@ class Database {
   /// first fact of its block).
   std::vector<KeyViolation> FindKeyViolations(size_t limit = 0) const;
 
-  /// Deep copy (used by the noise generator, which extends a consistent
-  /// base instance into several inconsistent variants).
+  /// Deep copy of the relations, without the block index (used by the
+  /// noise generator, which extends a consistent base instance into
+  /// several inconsistent variants).
   Database Clone() const;
 
  private:
+  void DropBlockIndex() CQA_EXCLUDES(block_index_mu_);
+
   const Schema* schema_;
   std::vector<Relation> relations_;
+  // Leaf lock: held across one index build, which takes no other lock.
+  mutable Mutex block_index_mu_;
+  mutable std::shared_ptr<const BlockIndex> block_index_
+      CQA_GUARDED_BY(block_index_mu_);
 };
 
 }  // namespace cqa

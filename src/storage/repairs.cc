@@ -11,13 +11,13 @@ namespace {
 
 /// Flattens the blocks of every relation into one list of (relation id,
 /// rows) choice points.
-std::vector<std::pair<size_t, const std::vector<size_t>*>> AllBlocks(
+std::vector<std::pair<size_t, std::span<const uint32_t>>> AllBlocks(
     const Database& db, const BlockIndex& index) {
-  std::vector<std::pair<size_t, const std::vector<size_t>*>> blocks;
+  std::vector<std::pair<size_t, std::span<const uint32_t>>> blocks;
   for (size_t rid = 0; rid < db.NumRelations(); ++rid) {
     const RelationBlockIndex& rbi = index.relation(rid);
     for (size_t bid = 0; bid < rbi.NumBlocks(); ++bid) {
-      blocks.emplace_back(rid, &rbi.block(bid));
+      blocks.emplace_back(rid, rbi.block(bid));
     }
   }
   return blocks;
@@ -52,8 +52,8 @@ bool ForEachRepair(const Database& db, const BlockIndex& index,
   size_t visited = 0;
   while (true) {
     for (size_t i = 0; i < blocks.size(); ++i) {
-      CQA_DCHECK(choice[i] < blocks[i].second->size());
-      selection[i] = FactRef{blocks[i].first, (*blocks[i].second)[choice[i]]};
+      CQA_DCHECK(choice[i] < blocks[i].second.size());
+      selection[i] = FactRef{blocks[i].first, blocks[i].second[choice[i]]};
     }
     ++visited;
     if (visited == 1) {
@@ -65,14 +65,14 @@ bool ForEachRepair(const Database& db, const BlockIndex& index,
     if (max_repairs != 0 && visited >= max_repairs) {
       // Did we stop exactly at the last repair?
       for (size_t i = 0; i < blocks.size(); ++i) {
-        if (choice[i] + 1 < blocks[i].second->size()) return false;
+        if (choice[i] + 1 < blocks[i].second.size()) return false;
       }
       return true;
     }
     // Odometer increment over block choices.
     size_t i = 0;
     for (; i < blocks.size(); ++i) {
-      if (++choice[i] < blocks[i].second->size()) break;
+      if (++choice[i] < blocks[i].second.size()) break;
       choice[i] = 0;
     }
     if (i == blocks.size()) return true;  // Wrapped around: all visited.

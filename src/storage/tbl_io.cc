@@ -165,7 +165,7 @@ bool ReadTblFile(Database* db, const std::string& relation_name,
   }
   // Seal so the freshly loaded relation carries encodings and chunk
   // statistics even when its size is not a chunk-capacity multiple.
-  db->relation(*relation_id).SealTail();
+  db->SealStorage();
   return true;
 }
 

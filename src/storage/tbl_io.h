@@ -28,7 +28,8 @@ bool WriteTblDirectory(const Database& db, const std::string& dir,
 
 /// Appends the facts of `path` to the named relation of *db, validating
 /// arity and coercing each field to the attribute type. Seals the
-/// relation's tail afterwards, so loaded instances are fully columnar.
+/// database's storage afterwards (Database::SealStorage), so loaded
+/// instances are fully columnar.
 bool ReadTblFile(Database* db, const std::string& relation_name,
                  const std::string& path, std::string* error);
 

@@ -1,9 +1,10 @@
 // Concurrency stress tests aimed at ThreadSanitizer (the `tsan` preset).
 // Under plain builds they are fast smoke tests; under -fsanitize=thread
-// they prove the claims the obs layer and the parallel estimator make:
-// relaxed-atomic metric updates never race with snapshots, scheme runs on
-// distinct objects share no mutable state, and concurrent deadline expiry
-// is benign.
+// they prove the claims the obs layer, the parallel estimator and the
+// shared block index make: relaxed-atomic metric updates never race with
+// snapshots, scheme runs on distinct objects share no mutable state,
+// concurrent deadline expiry is benign, and concurrent first calls to
+// Database::block_index build one index.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "cqa/symbolic_space.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
+#include "storage/block_index.h"
 #include "test_util.h"
 
 namespace cqa {
@@ -191,6 +193,73 @@ TEST(ParallelRaceTest, ConcurrentSchemesShareOneCachedPreprocessResult) {
   for (size_t i = 0; i < a.answers.size(); ++i) {
     EXPECT_EQ(a.answers[i].frequency, b.answers[i].frequency);
   }
+}
+
+/// Everything a PreprocessResult encodes, as text, for equality checks.
+std::string DescribeSynopses(const PreprocessResult& pre) {
+  std::string out;
+  for (const AnswerSynopsis& as : pre.answers()) {
+    out += TupleToString(as.answer) + ":";
+    for (const Synopsis::Block& b : as.synopsis.blocks()) {
+      out += " b" + std::to_string(b.relation_id) + "." +
+             std::to_string(b.block_id) + "/" + std::to_string(b.size);
+    }
+    for (const Synopsis::Image& image : as.synopsis.images()) {
+      out += " |";
+      for (const Synopsis::ImageFact& f : image.facts) {
+        out += " " + std::to_string(f.block) + "." + std::to_string(f.tid);
+      }
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+/// The database's lazily built block index under contention: 8 threads
+/// preprocess one const database that has no index yet. One of them
+/// builds it while the rest wait on the database's index lock, and every
+/// result shares that one index.
+TEST(ParallelRaceTest, ConcurrentSynopsisBuildsShareOneBlockIndex) {
+  testing::EmployeeFixture fixture;
+  for (int64_t id = 3; id < 3000; ++id) {
+    fixture.db->Insert("employee", {Value(id),
+                                    Value("E" + std::to_string(id % 17)),
+                                    Value("HR")});
+    if (id % 3 == 0) {
+      fixture.db->Insert("employee", {Value(id), Value("F"), Value("IT")});
+    }
+  }
+  const Database& db = *fixture.db;
+  const ConjunctiveQuery q =
+      MustParseCq(*fixture.schema, "Q(N) :- employee(I, N, D).");
+  const uint64_t builds_before =
+      obs::Registry::Instance().CounterValue("storage.block_index_builds");
+
+  constexpr size_t kThreads = 8;
+  std::vector<std::unique_ptr<const PreprocessResult>> results(kThreads);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t, &db, &q, &results] {
+      results[t] =
+          std::make_unique<const PreprocessResult>(BuildSynopses(db, q));
+    });
+  }
+  for (std::thread& w : workers) w.join();
+
+  const std::string expected = DescribeSynopses(*results[0]);
+  EXPECT_GT(results[0]->NumAnswers(), 1u);
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(&results[t]->block_index(), db.block_index().get());
+    EXPECT_EQ(DescribeSynopses(*results[t]), expected) << "thread " << t;
+  }
+#ifndef CQABENCH_NO_OBS
+  EXPECT_EQ(obs::Registry::Instance().CounterValue(
+                "storage.block_index_builds") - builds_before,
+            1u);
+#else
+  (void)builds_before;
+#endif
 }
 
 /// Deadline objects shared across threads: Expired()/RemainingSeconds()

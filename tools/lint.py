@@ -49,6 +49,11 @@ Fast, dependency-free checks that encode conventions the compiler cannot:
      Everyone else goes through reactor's EventLoop/PollReadable so fd
      readiness has one implementation to audit for edge-trigger and
      EINTR handling.
+ 11. Shared block index: non-test source (src/, bench/, examples/,
+     serve/) outside src/storage/ never calls BlockIndex::Build( -- it
+     reads the database's one lazily built index through
+     Database::block_index(), so no library path rebuilds or copies the
+     whole-database index per query.  Tests may build private indexes.
 
 Exit status is 0 iff the tree is clean.  Run from anywhere:
     python3 tools/lint.py
@@ -424,6 +429,25 @@ def check_event_demux_discipline(path: Path, rel: str, text: str,
 
 
 # ---------------------------------------------------------------------------
+# Check 11: the block index is built only through Database::block_index().
+# ---------------------------------------------------------------------------
+
+BLOCK_INDEX_BUILD = re.compile(r"\bBlockIndex::Build\s*\(")
+
+
+def check_shared_block_index(path: Path, rel: str, text: str,
+                             errors: list[str]) -> None:
+    if rel.startswith(("tests/", "src/storage/")):
+        return
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if BLOCK_INDEX_BUILD.search(strip_strings(strip_comments(line))):
+            errors.append(
+                f"{rel}:{lineno}: BlockIndex::Build outside src/storage; "
+                f"use the database's shared index (Database::block_index())"
+            )
+
+
+# ---------------------------------------------------------------------------
 # Driver.
 # ---------------------------------------------------------------------------
 
@@ -459,6 +483,7 @@ def main() -> int:
         check_header_file_comment(path, rel, text, errors)
         check_concurrency_discipline(path, rel, text, errors)
         check_event_demux_discipline(path, rel, text, errors)
+        check_shared_block_index(path, rel, text, errors)
     check_test_references(errors)
     check_bench_json_flag(errors)
     check_flag_docs(errors)
