@@ -4,13 +4,19 @@
 // every request that shares a (database, Σ, Q) key.
 //
 //   cqad [--host=127.0.0.1] [--port=0] [--workers=4]
-//        [--max_inflight=0] [--max_queue=64] [--max_pending=256]
+//        [--max_inflight=0] [--max_queue=320] [--max_pending=256]
 //        [--max_frame_mb=8] [--drain_timeout=10]
 //        [--cache_entries=64] [--db_cache_entries=4]
 //        [--default_deadline=30] [--obs_report=FILE]
 //        [--metrics_port=N] [--obs_access_log=FILE]
 //        [--obs_access_sample=P] [--obs_access_slow_ms=N]
 //        [--obs_trace=FILE] [--obs_resource_interval=S]
+//
+// --workers (at least 1) sets the event-loop threads, and the executor
+// loops too unless --max_inflight is given. --max_queue is how many
+// queries may wait beyond --max_inflight; a query arriving beyond that
+// gets 503 with retry_after_s. --max_pending is the open-connection cap:
+// accepts beyond it get 503 and are closed.
 //
 // Prints one line "cqad listening on HOST:PORT" once ready (loadgen and
 // the e2e tests parse it), then — when --metrics_port was given — a
@@ -104,7 +110,7 @@ int main(int argc, char** argv) {
   options.workers = static_cast<size_t>(args.GetDouble("workers", 4));
   options.max_inflight =
       static_cast<size_t>(args.GetDouble("max_inflight", 0));
-  options.max_queue = static_cast<size_t>(args.GetDouble("max_queue", 64));
+  options.max_queue = static_cast<size_t>(args.GetDouble("max_queue", 320));
   options.max_pending_connections =
       static_cast<size_t>(args.GetDouble("max_pending", 256));
   options.max_frame_bytes =

@@ -154,7 +154,7 @@ class TraceSpan {
 /// never touching the profile-region stack; the recorded thread_id is
 /// the finishing thread's. Callers serialize construction, Finish(),
 /// and destruction themselves (the serving layer orders them through
-/// its dispatcher handoff).
+/// its admission-queue handoff).
 class CrossThreadSpan {
  public:
   CrossThreadSpan(const char* name, uint64_t parent_id,

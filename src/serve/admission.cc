@@ -1,149 +1,106 @@
 #include "serve/admission.h"
 
 #include <algorithm>
-#include <limits>
-
-#include "obs/metrics.h"
+#include <utility>
 
 namespace cqa::serve {
 
-AdmissionController::AdmissionController(const AdmissionOptions& options)
-    : max_inflight_(options.max_inflight == 0 ? 1 : options.max_inflight),
-      max_queue_(options.max_queue),
+AdmissionQueue::AdmissionQueue(size_t max_inflight, size_t max_queue)
+    : max_inflight_(max_inflight),
+      capacity_(max_inflight + max_queue),
       inflight_gauge_(
           obs::Registry::Instance().GetGauge("serve.admission_inflight")),
       queued_gauge_(
           obs::Registry::Instance().GetGauge("serve.admission_queued")) {}
 
-Admission AdmissionController::Enter(const Deadline& deadline) {
+void AdmissionQueue::PublishLocked() {
+  inflight_gauge_->Set(static_cast<int64_t>(running_));
+  queued_gauge_->Set(static_cast<int64_t>(queue_.size()));
+}
+
+void AdmissionQueue::Submit(QueryJob job) {
   MutexLock lock(mu_);
-  if (shutdown_) return Admission::kShutdown;
-  if (queued_ == 0 && inflight_ < max_inflight_) {
-    ++inflight_;
-    inflight_gauge_->Set(static_cast<int64_t>(inflight_));
-    CQA_OBS_COUNT("serve.admission_admitted");
-    return Admission::kAdmitted;
+  if (!draining_ && running_ + queue_.size() < capacity_) {
+    queue_.push_back(std::move(job));
+    PublishLocked();
+    CQA_OBS_OBSERVE("serve.admission_queue_depth", queue_.size());
+    lock.Unlock();
+    work_cv_.NotifyOne();
+    return;
   }
-  if (queued_ >= max_queue_) {
+  const bool shed = !draining_;
+  if (shed) {
     ++shed_total_;
     CQA_OBS_COUNT("serve.admission_shed");
-    return Admission::kShed;
   }
-  const uint64_t ticket = next_ticket_++;
-  ++queued_;
-  queued_gauge_->Set(static_cast<int64_t>(queued_));
-  CQA_OBS_OBSERVE("serve.admission_queue_depth", queued_);
-  bool expired = false;
-  while (!(shutdown_ ||
-           (ticket == serving_ticket_ && inflight_ < max_inflight_))) {
-    const double remaining = deadline.RemainingSeconds();
-    if (remaining == std::numeric_limits<double>::infinity()) {
-      slot_cv_.Wait(mu_);
+  lock.Unlock();
+  job.reject(shed ? ErrorCode::kOverloaded : ErrorCode::kDraining);
+}
+
+void AdmissionQueue::RunExecutor() {
+  for (;;) {
+    QueryJob job;
+    bool expired = false;
+    {
+      MutexLock lock(mu_);
+      while (queue_.empty() && !draining_) work_cv_.Wait(mu_);
+      if (queue_.empty()) return;  // Drained.
+      job = std::move(queue_.front());
+      queue_.pop_front();
+      expired = job.deadline.Expired();
+      if (!expired) ++running_;
+      PublishLocked();
+    }
+    if (expired) {
+      CQA_OBS_COUNT("serve.admission_expired");
+      job.reject(ErrorCode::kDeadlineExceeded);
       continue;
     }
-    if (remaining <= 0.0) {
-      expired = true;
-      break;
-    }
-    slot_cv_.WaitForSeconds(mu_, remaining);
-  }
-  --queued_;
-  queued_gauge_->Set(static_cast<int64_t>(queued_));
-  if (shutdown_) {
-    AdvancePast(ticket);
-    return Admission::kShutdown;
-  }
-  if (expired) {
-    AdvancePast(ticket);
-    CQA_OBS_COUNT("serve.admission_expired");
-    return Admission::kExpired;
-  }
-  // The wait condition held: this waiter is at the head with a free slot.
-  ++serving_ticket_;
-  // Tickets abandoned earlier may sit right behind; skip them so the
-  // next live waiter sees its turn.
-  while (abandoned_.erase(serving_ticket_) > 0) ++serving_ticket_;
-  ++inflight_;
-  inflight_gauge_->Set(static_cast<int64_t>(inflight_));
-  CQA_OBS_COUNT("serve.admission_admitted");
-  slot_cv_.NotifyAll();
-  return Admission::kAdmitted;
-}
-
-void AdmissionController::AdvancePast(uint64_t ticket) {
-  // A waiter abandoning the queue must not stall the tickets behind it:
-  // if it was the one being served next, pass the turn on; otherwise
-  // remember the hole so the serving counter can skip it later.
-  if (ticket == serving_ticket_) {
-    ++serving_ticket_;
-    while (abandoned_.erase(serving_ticket_) > 0) ++serving_ticket_;
-    slot_cv_.NotifyAll();
-  } else if (ticket > serving_ticket_) {
-    abandoned_.insert(ticket);
+    CQA_OBS_COUNT("serve.admission_admitted");
+    const Stopwatch service;
+    job.run();
+    const double service_seconds = service.ElapsedSeconds();
+    MutexLock lock(mu_);
+    --running_;
+    PublishLocked();
+    // EWMA with alpha 0.2: smooth enough to ride out one slow query,
+    // fresh enough to track a workload shift within a handful of
+    // requests.
+    ewma_service_seconds_ =
+        0.8 * ewma_service_seconds_ + 0.2 * service_seconds;
   }
 }
 
-void AdmissionController::Leave(double service_seconds) {
+void AdmissionQueue::Drain() {
+  std::deque<QueryJob> flushed;
+  {
+    MutexLock lock(mu_);
+    draining_ = true;
+    flushed.swap(queue_);
+    PublishLocked();
+  }
+  work_cv_.NotifyAll();
+  for (QueryJob& job : flushed) job.reject(ErrorCode::kDraining);
+}
+
+double AdmissionQueue::RetryAfterSeconds() const {
   MutexLock lock(mu_);
-  if (inflight_ > 0) --inflight_;
-  inflight_gauge_->Set(static_cast<int64_t>(inflight_));
-  // EWMA with alpha 0.2: smooth enough to ride out one slow query, fresh
-  // enough to track a workload shift within a handful of requests.
-  ewma_service_seconds_ =
-      0.8 * ewma_service_seconds_ + 0.2 * service_seconds;
-  slot_cv_.NotifyAll();
-}
-
-double AdmissionController::RetryAfterSeconds() const {
-  MutexLock lock(mu_);
-  const double backlog =
-      static_cast<double>(queued_ + external_queued_ + inflight_) /
-      static_cast<double>(max_inflight_);
+  const double backlog = static_cast<double>(queue_.size() + running_) /
+                         static_cast<double>(max_inflight_);
   return std::clamp(backlog * ewma_service_seconds_, 0.05, 60.0);
 }
 
-void AdmissionController::Shutdown() {
+size_t AdmissionQueue::inflight() const {
   MutexLock lock(mu_);
-  shutdown_ = true;
-  slot_cv_.NotifyAll();
+  return running_;
 }
 
-size_t AdmissionController::inflight() const {
+size_t AdmissionQueue::queued() const {
   MutexLock lock(mu_);
-  return inflight_;
+  return queue_.size();
 }
 
-size_t AdmissionController::queued() const {
-  MutexLock lock(mu_);
-  return queued_ + external_queued_;
-}
-
-void AdmissionController::NoteQueued(int64_t delta) {
-  MutexLock lock(mu_);
-  if (delta < 0 && external_queued_ < static_cast<size_t>(-delta)) {
-    external_queued_ = 0;  // Defensive: never underflow the gauge.
-  } else {
-    external_queued_ += delta;
-  }
-  queued_gauge_->Set(static_cast<int64_t>(queued_ + external_queued_));
-  if (delta > 0) {
-    CQA_OBS_OBSERVE("serve.admission_queue_depth",
-                    queued_ + external_queued_);
-  }
-}
-
-void AdmissionController::NoteShed() {
-  MutexLock lock(mu_);
-  ++shed_total_;
-  CQA_OBS_COUNT("serve.admission_shed");
-}
-
-void AdmissionController::NoteExpired() {
-  MutexLock lock(mu_);
-  CQA_OBS_COUNT("serve.admission_expired");
-}
-
-uint64_t AdmissionController::shed_total() const {
+uint64_t AdmissionQueue::shed_total() const {
   MutexLock lock(mu_);
   return shed_total_;
 }

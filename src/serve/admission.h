@@ -1,113 +1,91 @@
-// serve/admission — bounded admission control for cqad request workers.
-// A CQA query can burn seconds of CPU; without a bound, a burst of
-// requests would queue unboundedly and every client would time out. The
-// controller admits up to `max_inflight` concurrent executions, parks up
-// to `max_queue` more in a FIFO wait queue, and sheds everything beyond
-// that with a 503-style rejection carrying a retry_after hint derived
-// from observed service times.
+// serve/admission — cqad's one admission queue: the bounded FIFO between
+// the reactor's event loops and query execution. A CQA query can burn
+// seconds of CPU; without a bound, a burst of requests would queue
+// unboundedly and every client would time out. Event loops Submit parsed
+// queries here and never block; `max_inflight` executor loops, parked on
+// the shared ThreadPool by the server (this class creates no threads),
+// pop and run them. Once running plus queued jobs reach
+// `max_inflight + max_queue`, Submit sheds with kOverloaded, and the
+// client's retry_after_s comes from observed service times. A job whose
+// deadline passed while it waited is rejected at dequeue with
+// kDeadlineExceeded and never runs; Drain rejects everything still
+// queued with kDraining.
 #ifndef CQABENCH_SERVE_ADMISSION_H_
 #define CQABENCH_SERVE_ADMISSION_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <set>
+#include <deque>
+#include <functional>
 
 #include "common/stopwatch.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
+#include "serve/protocol.h"
 
 namespace cqa::serve {
 
-struct AdmissionOptions {
-  /// Concurrent request executions. 0 means "one per worker" (the server
-  /// substitutes its worker count).
-  size_t max_inflight = 0;
-  /// Requests allowed to wait for a slot before shedding starts.
-  size_t max_queue = 64;
+/// One unit of deferred query work.
+struct QueryJob {
+  Deadline deadline = Deadline::Infinite();
+  /// Executes the query and delivers its response. Runs on an executor.
+  std::function<void()> run;
+  /// Delivers an error response: kOverloaded or kDraining on the thread
+  /// that called Submit or Drain, kDeadlineExceeded on an executor.
+  /// Always runs outside the queue's lock, so it may call
+  /// RetryAfterSeconds().
+  std::function<void(ErrorCode)> reject;
 };
 
-/// Decision returned by Enter().
-enum class Admission {
-  kAdmitted,   // Run now; call Leave() when done.
-  kShed,       // Queue full: reject with kOverloaded + RetryAfterSeconds.
-  kExpired,    // The request's deadline passed while it waited in queue.
-  kShutdown,   // The controller was shut down while the request waited.
-};
-
-/// Thread-safe admission gate. All waits are FIFO-fair in practice
-/// (condition-variable wakeups re-check a ticket order).
-class AdmissionController {
+/// Thread-safe bounded FIFO of QueryJobs. The server calls Submit from
+/// event loops, hosts `max_inflight` RunExecutor loops on pool threads,
+/// and calls Drain on shutdown.
+class AdmissionQueue {
  public:
-  explicit AdmissionController(const AdmissionOptions& options);
+  /// `max_inflight` is how many RunExecutor loops the server hosts;
+  /// `max_queue` is how many more jobs may wait beyond them.
+  AdmissionQueue(size_t max_inflight, size_t max_queue);
 
-  /// Tries to claim an execution slot, waiting in the bounded queue when
-  /// all slots are busy. Returns kShed immediately when the queue is
-  /// full, kExpired when `deadline` fires first, kShutdown when
-  /// Shutdown() is called while waiting.
-  Admission Enter(const Deadline& deadline) CQA_EXCLUDES(mu_);
+  /// Queues job, or rejects it at once: kOverloaded when running plus
+  /// queued jobs already reach max_inflight + max_queue, kDraining after
+  /// Drain. Never blocks.
+  void Submit(QueryJob job) CQA_EXCLUDES(mu_);
 
-  /// Releases a slot claimed by a successful Enter(). `service_seconds`
-  /// feeds the EWMA behind RetryAfterSeconds.
-  void Leave(double service_seconds) CQA_EXCLUDES(mu_);
+  /// Executor loop: pops jobs in FIFO order and runs each one whose
+  /// deadline has not passed, timing it for the retry-after estimate.
+  /// Returns once Drain has been called and the queue is empty.
+  void RunExecutor() CQA_EXCLUDES(mu_);
+
+  /// Stops intake, rejects every queued job with kDraining, and releases
+  /// the executor loops; jobs already running finish. Idempotent.
+  void Drain() CQA_EXCLUDES(mu_);
 
   /// Hint for shed clients: the expected time until a slot frees up,
-  /// estimated as (queued + inflight) / max_inflight times the EWMA
+  /// estimated as (queued + running) / max_inflight times the EWMA
   /// service time, clamped to [0.05, 60] seconds.
   double RetryAfterSeconds() const CQA_EXCLUDES(mu_);
-
-  /// Wakes every queued waiter with kShutdown and makes all future
-  /// Enter() calls return kShutdown. Idempotent.
-  void Shutdown() CQA_EXCLUDES(mu_);
 
   size_t inflight() const CQA_EXCLUDES(mu_);
   size_t queued() const CQA_EXCLUDES(mu_);
   uint64_t shed_total() const CQA_EXCLUDES(mu_);
 
-  // --- External-queue bookkeeping (reactor mode) -----------------------
-  // The reactor parks waiting requests in the QueryDispatcher's queue
-  // instead of blocking threads inside Enter(); these hooks keep the
-  // queued gauge, shed counter, and RetryAfterSeconds' backlog estimate
-  // accurate while the dispatcher owns the actual FIFO. Enter()/Leave()
-  // still bracket every execution, so inflight and the EWMA are exact.
-
-  /// Adjusts the externally-queued request count by delta (+1 enqueue,
-  /// -1 dequeue). Reflected in queued() and the queued gauge.
-  void NoteQueued(int64_t delta) CQA_EXCLUDES(mu_);
-
-  /// Records one shed decision made by an external queue (full FIFO).
-  void NoteShed() CQA_EXCLUDES(mu_);
-
-  /// Records one externally-queued request whose deadline expired
-  /// before execution started.
-  void NoteExpired() CQA_EXCLUDES(mu_);
-
  private:
-  /// Removes an abandoned waiter's ticket from the FIFO order so later
-  /// tickets are not stalled behind it.
-  void AdvancePast(uint64_t ticket) CQA_REQUIRES(mu_);
+  /// Mirrors running_ and queue_.size() into the gauges.
+  void PublishLocked() CQA_REQUIRES(mu_);
 
   const size_t max_inflight_;
-  const size_t max_queue_;
-  // Process-wide gauges mirroring inflight_/queued_ for /metrics and
-  // `stats`. Updated unconditionally (not via the NO_OBS-gated macros):
-  // admission state must stay accurate in every build mode.
+  const size_t capacity_;  // max_inflight + max_queue.
+  // Process-wide gauges for /metrics and `stats`. Updated
+  // unconditionally (not via the NO_OBS-gated macros): admission state
+  // must stay accurate in every build mode.
   obs::Gauge* const inflight_gauge_;
   obs::Gauge* const queued_gauge_;
   mutable Mutex mu_;
-  CondVar slot_cv_;  // Signalled when a slot frees or state changes.
-  size_t inflight_ CQA_GUARDED_BY(mu_) = 0;
-  size_t queued_ CQA_GUARDED_BY(mu_) = 0;
-  // Ticketing keeps the queue FIFO: waiters are served in Enter order.
-  uint64_t next_ticket_ CQA_GUARDED_BY(mu_) = 0;
-  uint64_t serving_ticket_ CQA_GUARDED_BY(mu_) = 0;
+  CondVar work_cv_;  // Signalled on Submit and Drain.
+  std::deque<QueryJob> queue_ CQA_GUARDED_BY(mu_);
+  size_t running_ CQA_GUARDED_BY(mu_) = 0;
   uint64_t shed_total_ CQA_GUARDED_BY(mu_) = 0;
-  // Tickets whose waiters left the queue (deadline/shutdown) before
-  // being served; skipped when the serving counter reaches them.
-  std::set<uint64_t> abandoned_ CQA_GUARDED_BY(mu_);
-  // Requests waiting in an external FIFO (see NoteQueued); added to
-  // queued_ for the gauge, queued() and the retry-after backlog.
-  size_t external_queued_ CQA_GUARDED_BY(mu_) = 0;
-  bool shutdown_ CQA_GUARDED_BY(mu_) = false;
+  bool draining_ CQA_GUARDED_BY(mu_) = false;
   double ewma_service_seconds_ CQA_GUARDED_BY(mu_) = 0.1;  // Optimistic prior.
 };
 

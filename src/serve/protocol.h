@@ -83,7 +83,8 @@ inline constexpr size_t kMaxTraceIdBytes = 128;
 /// Per-request phase latency breakdown, all in integer microseconds.
 /// Attached to ok query responses as the "timing" object when the server
 /// recorded it. The phases partition the server-side handling time:
-///   queue_wait  — waiting for an admission slot,
+///   queue_wait  — waiting in the admission queue until an executor
+///                 dequeues the request,
 ///   cache       — synopsis-cache lookup overhead (lock + single-flight
 ///                 coordination, excluding the build itself),
 ///   preprocess  — database load + query parse + synopsis build (near

@@ -62,14 +62,11 @@ const char* RejectMessage(ErrorCode code) {
   }
 }
 
-// The spans bracketing one asynchronous query. Held via shared_ptr by
-// both the run and reject closures, which execute on executor threads
-// while construction happened on a loop thread — hence CrossThreadSpan,
-// not the same-thread RAII TraceSpan. Finish() is called at the exact
-// moments the old blocking server destroyed the equivalent scoped spans
-// (queue_wait ends when execution starts, the request root ends before
-// the response is handed back), so span durations and the recording
-// order stay faithful.
+// The spans bracketing one asynchronous query, shared by its run and
+// reject closures. They are opened on a loop thread and finished
+// wherever the closure runs, hence CrossThreadSpan rather than the
+// same-thread RAII TraceSpan. queue_wait ends when an executor dequeues
+// the query; the root ends before the response is handed back.
 struct PendingSpans {
   PendingSpans(const std::string& trace_id, uint64_t trace_parent)
       : root("serve.request", trace_parent, trace_id),
@@ -132,8 +129,8 @@ class CqadServer::Conn : public EpollHandler {
         if (!DrainFrames()) return;  // Closed (or closing after flush).
         continue;
       }
-      if (n == 0) {  // EOF.
-        ShutdownNow();
+      if (n == 0) {  // EOF: a half-closed peer still reads its answers.
+        DrainSweep();
         return;
       }
       if (errno == EINTR) continue;
@@ -161,8 +158,9 @@ class CqadServer::Conn : public EpollHandler {
 
   void NoteSubmitted() { ++outstanding_; }
 
-  /// Drain sweep: idle connections close now; connections with pending
-  /// responses or unflushed bytes close once those flush.
+  /// Drain sweep, also run at EOF: idle connections close now;
+  /// connections with pending responses or unflushed bytes close once
+  /// those flush.
   void DrainSweep() {
     if (outstanding_ == 0 && write_q_.empty()) {
       ShutdownNow();
@@ -298,12 +296,7 @@ CqadServer::CqadServer(const ServerOptions& options)
       executors_(options.max_inflight == 0 ? options.workers
                                            : options.max_inflight),
       engine_(options.engine),
-      admission_(AdmissionOptions{
-          options.max_inflight == 0 ? options.workers : options.max_inflight,
-          options.max_queue}),
-      dispatcher_(executors_, options.max_queue,
-                  options.workers == 0 ? 1 : options.workers,
-                  options.max_pending_connections, &admission_),
+      admission_(executors_, options.max_queue),
       connections_gauge_(
           obs::Registry::Instance().GetGauge("serve.connections_open")) {}
 
@@ -327,6 +320,10 @@ void CqadServer::InstallSignalHandlers() {
 }
 
 bool CqadServer::Start(std::string* error) {
+  if (options_.workers == 0) {
+    *error = "workers must be at least 1";
+    return false;
+  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) {
     *error = std::string("socket: ") + std::strerror(errno);
@@ -371,9 +368,8 @@ bool CqadServer::Start(std::string* error) {
                 &bound_len);
   port_ = ntohs(bound.sin_port);
 
-  const size_t n_loops = options_.workers == 0 ? 1 : options_.workers;
-  conns_.resize(n_loops);
-  for (size_t i = 0; i < n_loops; ++i) {
+  conns_.resize(options_.workers);
+  for (size_t i = 0; i < options_.workers; ++i) {
     auto loop = std::make_unique<EventLoop>("loop-" + std::to_string(i));
     if (!loop->ok()) {
       *error = "epoll setup failed for event loop " + std::to_string(i);
@@ -402,7 +398,7 @@ bool CqadServer::Start(std::string* error) {
   executor_host_ = std::thread([this] {
     ThreadPool& pool = ThreadPool::Shared();
     pool.EnsureWorkers(executors_);
-    pool.Run(executors_, [this](size_t) { dispatcher_.RunExecutor(); });
+    pool.Run(executors_, [this](size_t) { admission_.RunExecutor(); });
   });
   signal_watcher_ = std::thread([this] {
     while (!stopping_.load()) {
@@ -537,11 +533,11 @@ void CqadServer::SubmitQuery(Conn* conn, Request request, WireCodec codec,
   }
   const size_t loop_index = conn->loop_index();
   const uint64_t conn_id = conn->id();
-  // The deadline starts here, before the dispatcher queue, so time
+  // The deadline starts here, before the admission queue, so time
   // spent queued counts against the request's budget.
   const Deadline deadline = engine_.MakeDeadline(request);
   // The root span hangs the whole server-side tree under the client's
-  // trace context; queue_wait ends exactly when execution starts.
+  // trace context; queue_wait ends when an executor dequeues the job.
   auto spans = std::make_shared<PendingSpans>(request.trace_id,
                                               request.trace_parent);
   const uint64_t root_id = spans->root.id();
@@ -576,7 +572,7 @@ void CqadServer::SubmitQuery(Conn* conn, Request request, WireCodec codec,
     DeliverFrame(loop_index, conn_id,
                  FinishRequest(*req, true, &response, watch, codec));
   };
-  dispatcher_.Submit(std::move(job));
+  admission_.Submit(std::move(job));
 }
 
 std::string CqadServer::FinishRequest(const Request& request, bool parsed,
@@ -650,8 +646,7 @@ void CqadServer::DrainSequence() {
   });
   // Drain step 2: flush queued work with kDraining, finish in-flight
   // executions, and deliver every pending response.
-  admission_.Shutdown();
-  dispatcher_.Drain();
+  admission_.Drain();
   if (executor_host_.joinable()) executor_host_.join();
   // All completions are now queued in loop mailboxes; the sweep posted
   // behind them closes idle connections and marks the rest

@@ -6,11 +6,11 @@
 // many outstanding requests per connection, responses matched by the
 // client-assigned `id` and possibly delivered out of order. Query
 // execution never runs on an event loop: parsed requests go through the
-// bounded QueryDispatcher to executor loops parked on the process-wide
-// ThreadPool, bracketed by admission control. A SIGTERM/RequestDrain()
-// triggers the graceful drain documented in DESIGN.md §9: stop
-// accepting, flush queued work with kDraining, finish in-flight
-// requests, force-close stragglers after a timeout.
+// bounded AdmissionQueue to executor loops parked on the process-wide
+// ThreadPool. A SIGTERM/RequestDrain() triggers the graceful drain
+// documented in DESIGN.md §9: stop accepting, flush queued work with
+// kDraining, finish in-flight requests, force-close stragglers after a
+// timeout.
 #ifndef CQABENCH_SERVE_SERVER_H_
 #define CQABENCH_SERVE_SERVER_H_
 
@@ -26,7 +26,6 @@
 #include "common/thread_annotations.h"
 #include "serve/access_log.h"
 #include "serve/admission.h"
-#include "serve/dispatch.h"
 #include "serve/engine.h"
 #include "serve/protocol.h"
 #include "serve/reactor.h"
@@ -39,16 +38,19 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   int port = 0;
-  /// Event-loop threads. Each loop multiplexes an unbounded share of
-  /// the open connections; loops never block on query execution.
+  /// Event-loop threads, at least 1 (Start refuses 0). Each loop
+  /// multiplexes an unbounded share of the open connections; loops never
+  /// block on query execution.
   size_t workers = 4;
-  /// Cap on concurrently open connections; accepts beyond it are
-  /// answered with kOverloaded and closed immediately.
+  /// The open-connection cap: accepts beyond it are answered with
+  /// kOverloaded and closed immediately.
   size_t max_pending_connections = 256;
   /// Executor loops bounding concurrent query executions. 0 = `workers`.
   size_t max_inflight = 0;
-  /// Dispatcher queue length; beyond it requests shed with kOverloaded.
-  size_t max_queue = 64;
+  /// Queries that may wait beyond `max_inflight`; a query arriving when
+  /// max_inflight + max_queue are already running or queued is shed with
+  /// kOverloaded.
+  size_t max_queue = 320;
   /// Cap on one request frame's payload bytes.
   size_t max_frame_bytes = kDefaultMaxFrameBytes;
   /// Grace period for in-flight requests during drain before their
@@ -78,7 +80,7 @@ class CqadServer {
   CqadServer& operator=(const CqadServer&) = delete;
 
   /// Binds, listens, and starts the reactor + executor threads. False
-  /// with *error on socket failure.
+  /// with *error when workers is 0 or on socket failure.
   bool Start(std::string* error);
 
   /// The bound port (useful with options.port == 0).
@@ -95,7 +97,6 @@ class CqadServer {
   bool draining() const { return draining_.load(); }
 
   CqaEngine& engine() { return engine_; }
-  AdmissionController& admission() { return admission_; }
 
   /// Registers a process-wide SIGTERM/SIGINT handler that flips an
   /// async-signal-safe flag; the signal watcher notices it within a few
@@ -140,8 +141,7 @@ class CqadServer {
   const ServerOptions options_;
   const size_t executors_;  // Effective max_inflight.
   CqaEngine engine_;
-  AdmissionController admission_;
-  QueryDispatcher dispatcher_;
+  AdmissionQueue admission_;
 
   int listen_fd_ = -1;
   int port_ = 0;

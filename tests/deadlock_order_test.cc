@@ -1,7 +1,7 @@
 // Lock-ordering stress tests for the concurrent core. Each test drives
 // one of the cross-class acquisition paths documented in the
-// docs/architecture.md lock-hierarchy table — server queue/conns locks →
-// admission → synopsis cache → engine db/preprocess locks, the stats op
+// docs/architecture.md lock-hierarchy table — loop mailbox → admission
+// queue → synopsis cache → engine db/preprocess locks, the stats op
 // racing a graceful drain, and nested ThreadPool::Run — under enough
 // concurrency that an ordering violation would deadlock (caught by the
 // ctest timeout) or trip ThreadSanitizer's lock-inversion detector when
@@ -25,7 +25,6 @@
 #include "gen/noise.h"
 #include "gen/tpch.h"
 #include "query/parser.h"
-#include "serve/admission.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/synopsis_cache.h"
@@ -80,10 +79,10 @@ class DeadlockOrderTest : public ::testing::Test {
 
 std::filesystem::path* DeadlockOrderTest::dir_ = nullptr;
 
-// The deepest chain in the tree: every request crosses the server's
-// queue_mu_/conns_mu_, the admission controller's mu_, the synopsis
-// cache's mu_ (single-flight on one shared key), the engine's db_mu_,
-// and the loaded database's preprocess_mu. A tight inflight bound plus
+// The deepest chain in the tree: every request crosses the admission
+// queue's mu_, the synopsis cache's mu_ (single-flight on one shared
+// key), the engine's db_mu_, the loaded database's preprocess_mu, and a
+// loop's mailbox_mu_ for the response. A tight inflight bound plus
 // identical keys maximizes contention on every lock in the chain at
 // once; any held-across-acquire edge between them would wedge here.
 TEST_F(DeadlockOrderTest, ServerAdmissionCacheEngineChainUnderContention) {
@@ -131,11 +130,12 @@ TEST_F(DeadlockOrderTest, ServerAdmissionCacheEngineChainUnderContention) {
   server.Wait();
 }
 
-// The stats op reads conns_mu_, the admission gauges, and the cache
-// counters while RequestDrain flips draining_, broadcasts on queue_mu_,
-// shuts down admission (its mu_), and force-closes under conns_mu_ —
-// the two paths touch the same locks from opposite directions in
-// sequence, and must never hold one while taking the other.
+// The stats op reads the connection and admission gauges and the cache
+// counters on a loop thread while the drain takes drain_mu_, drains the
+// admission queue (its mu_), and posts sweeps and force-closes through
+// the loop mailboxes — the two paths touch the same locks from opposite
+// directions in sequence, and must never hold one while taking the
+// other.
 TEST_F(DeadlockOrderTest, StatsOpsRacingGracefulDrain) {
   CqadServer server(ServerOptions{});
   std::string error;
@@ -229,36 +229,6 @@ TEST_F(DeadlockOrderTest, CacheSingleFlightRacingClear) {
   }
   for (std::thread& t : threads) t.join();
   EXPECT_LE(cache.entries(), cache.capacity());
-}
-
-// Shutdown() must wake every parked Enter() waiter exactly into
-// kShutdown — no lost wakeups (hang) and no spurious admissions.
-TEST_F(DeadlockOrderTest, AdmissionShutdownWakesParkedWaiters) {
-  AdmissionOptions options;
-  options.max_inflight = 1;
-  options.max_queue = 16;
-  AdmissionController admission(options);
-
-  ASSERT_EQ(admission.Enter(Deadline::Infinite()), Admission::kAdmitted);
-
-  constexpr size_t kWaiters = 8;
-  std::vector<std::thread> waiters;
-  std::vector<Admission> results(kWaiters, Admission::kAdmitted);
-  for (size_t i = 0; i < kWaiters; ++i) {
-    waiters.emplace_back(
-        [&, i] { results[i] = admission.Enter(Deadline::Infinite()); });
-  }
-  // Wait until all waiters are parked on the condition variable, then
-  // shut down out from under them while the one slot is still held.
-  while (admission.queued() < kWaiters) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  admission.Shutdown();
-  for (std::thread& t : waiters) t.join();
-  for (size_t i = 0; i < kWaiters; ++i) {
-    EXPECT_EQ(results[i], Admission::kShutdown) << "waiter " << i;
-  }
-  admission.Leave(0.01);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Reactor-layer unit tests: EventLoop (edge-triggered epoll + mailbox,
-// deferred handler deletion) and QueryDispatcher (the two-stage hand-off
-// between event loops and query executors). The e2e tier exercises both
-// through a live cqad; these tests pin the contracts in isolation.
+// deferred handler deletion) and PollReadable. The e2e tier exercises
+// them through a live cqad; these tests pin the contracts in isolation.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -14,8 +13,6 @@
 #include <vector>
 
 #include "common/stopwatch.h"
-#include "serve/admission.h"
-#include "serve/dispatch.h"
 #include "serve/reactor.h"
 
 namespace cqa::serve {
@@ -181,186 +178,6 @@ TEST(EventLoopTest, StopWithPendingPostsStillRunsThem) {
   // Posts enqueued before Stop() are drained by the final mailbox runs
   // (in Run's stop path or the destructor).
   EXPECT_EQ(ran.load(), 8);
-}
-
-// ---------------------------------------------------------------------------
-// QueryDispatcher
-// ---------------------------------------------------------------------------
-
-struct DispatchHarness {
-  explicit DispatchHarness(size_t executors, size_t max_queue,
-                           size_t workers, size_t wait_cap)
-      : admission(AdmissionOptions{executors, max_queue}),
-        dispatcher(executors, max_queue, workers, wait_cap, &admission) {}
-
-  QueryJob Job(std::atomic<int>* ran, std::vector<ErrorCode>* rejects,
-               cqa::Mutex* reject_mu,
-               Deadline deadline = Deadline::Infinite()) {
-    QueryJob job;
-    job.deadline = deadline;
-    job.run = [ran] { ran->fetch_add(1); };
-    job.reject = [rejects, reject_mu](ErrorCode code) {
-      cqa::MutexLock lock(*reject_mu);
-      rejects->push_back(code);
-    };
-    return job;
-  }
-
-  AdmissionController admission;
-  QueryDispatcher dispatcher;
-};
-
-TEST(QueryDispatcherTest, RunsSubmittedJobsFifo) {
-  DispatchHarness h(/*executors=*/1, /*max_queue=*/64, /*workers=*/4,
-                    /*wait_cap=*/256);
-  std::vector<int> order;
-  std::atomic<int> done{0};
-  cqa::Mutex order_mu;
-  for (int i = 0; i < 8; ++i) {
-    QueryJob job;
-    job.run = [&, i] {
-      cqa::MutexLock lock(order_mu);
-      order.push_back(i);
-      done.fetch_add(1);
-    };
-    job.reject = [](ErrorCode) { FAIL() << "unexpected reject"; };
-    h.dispatcher.Submit(std::move(job));
-  }
-  std::thread executor([&] { h.dispatcher.RunExecutor(); });
-  const Deadline deadline(5.0);
-  while (done.load() < 8 && !deadline.Expired()) {
-  }
-  h.dispatcher.Drain();
-  executor.join();
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(QueryDispatcherTest, ShedsWhenWorkersExceedInflightPlusQueue) {
-  // The blocking server shed when a request thread found every inflight
-  // slot taken and the admission queue full: workers=8 against
-  // max_inflight=1, max_queue=0 sheds 7 of 8 concurrent submissions.
-  DispatchHarness h(/*executors=*/1, /*max_queue=*/0, /*workers=*/8,
-                    /*wait_cap=*/256);
-  std::atomic<int> ran{0};
-  std::vector<ErrorCode> rejects;
-  cqa::Mutex reject_mu;
-  for (int i = 0; i < 8; ++i) {
-    h.dispatcher.Submit(h.Job(&ran, &rejects, &reject_mu));
-  }
-  {
-    cqa::MutexLock lock(reject_mu);
-    EXPECT_EQ(rejects.size(), 7u);
-    for (ErrorCode code : rejects) EXPECT_EQ(code, ErrorCode::kOverloaded);
-  }
-  EXPECT_EQ(h.admission.shed_total(), 7u);
-  std::thread executor([&] { h.dispatcher.RunExecutor(); });
-  const Deadline deadline(5.0);
-  while (ran.load() < 1 && !deadline.Expired()) {
-  }
-  EXPECT_EQ(ran.load(), 1);
-  h.dispatcher.Drain();
-  executor.join();
-}
-
-TEST(QueryDispatcherTest, NeverShedsWhenInflightMatchesWorkers) {
-  // max_inflight == workers (the default wiring) never shed in the
-  // blocking server regardless of load; the backlog waits instead.
-  DispatchHarness h(/*executors=*/2, /*max_queue=*/0, /*workers=*/2,
-                    /*wait_cap=*/1024);
-  std::atomic<int> ran{0};
-  std::vector<ErrorCode> rejects;
-  cqa::Mutex reject_mu;
-  for (int i = 0; i < 100; ++i) {
-    h.dispatcher.Submit(h.Job(&ran, &rejects, &reject_mu));
-  }
-  std::vector<std::thread> executors;
-  for (int i = 0; i < 2; ++i) {
-    executors.emplace_back([&] { h.dispatcher.RunExecutor(); });
-  }
-  const Deadline deadline(10.0);
-  while (ran.load() < 100 && !deadline.Expired()) {
-  }
-  EXPECT_EQ(ran.load(), 100);
-  {
-    cqa::MutexLock lock(reject_mu);
-    EXPECT_TRUE(rejects.empty());
-  }
-  h.dispatcher.Drain();
-  for (std::thread& t : executors) t.join();
-}
-
-TEST(QueryDispatcherTest, WaitQueueCapSheds) {
-  // Nothing consumes jobs (no executor): the active window fills, then
-  // the outer wait queue, then submissions shed.
-  DispatchHarness h(/*executors=*/1, /*max_queue=*/1, /*workers=*/1,
-                    /*wait_cap=*/2);
-  std::atomic<int> ran{0};
-  std::vector<ErrorCode> rejects;
-  cqa::Mutex reject_mu;
-  // Window = max(1, 1+1) = 2 committed + 2 waiting = 4 absorbed.
-  for (int i = 0; i < 6; ++i) {
-    h.dispatcher.Submit(h.Job(&ran, &rejects, &reject_mu));
-  }
-  cqa::MutexLock lock(reject_mu);
-  EXPECT_EQ(rejects.size(), 2u);
-  for (ErrorCode code : rejects) EXPECT_EQ(code, ErrorCode::kOverloaded);
-}
-
-TEST(QueryDispatcherTest, ExpiredDeadlineRejectsAtDequeue) {
-  DispatchHarness h(/*executors=*/1, /*max_queue=*/8, /*workers=*/1,
-                    /*wait_cap=*/256);
-  std::atomic<int> ran{0};
-  std::vector<ErrorCode> rejects;
-  cqa::Mutex reject_mu;
-  h.dispatcher.Submit(
-      h.Job(&ran, &rejects, &reject_mu, Deadline(/*seconds=*/0.0)));
-  Stopwatch settle;
-  while (settle.ElapsedSeconds() < 0.01) {
-  }
-  std::thread executor([&] { h.dispatcher.RunExecutor(); });
-  const Deadline deadline(5.0);
-  for (;;) {
-    {
-      cqa::MutexLock lock(reject_mu);
-      if (!rejects.empty()) break;
-    }
-    if (deadline.Expired()) break;
-  }
-  h.dispatcher.Drain();
-  executor.join();
-  cqa::MutexLock lock(reject_mu);
-  ASSERT_EQ(rejects.size(), 1u);
-  EXPECT_EQ(rejects[0], ErrorCode::kDeadlineExceeded);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(QueryDispatcherTest, DrainFlushesBothStagesAndRejectsLateSubmits) {
-  DispatchHarness h(/*executors=*/1, /*max_queue=*/1, /*workers=*/1,
-                    /*wait_cap=*/8);
-  std::atomic<int> ran{0};
-  std::vector<ErrorCode> rejects;
-  cqa::Mutex reject_mu;
-  for (int i = 0; i < 5; ++i) {  // 2 committed (window), 3 outer-waiting.
-    h.dispatcher.Submit(h.Job(&ran, &rejects, &reject_mu));
-  }
-  h.dispatcher.Drain();
-  {
-    cqa::MutexLock lock(reject_mu);
-    EXPECT_EQ(rejects.size(), 5u);
-    for (ErrorCode code : rejects) EXPECT_EQ(code, ErrorCode::kDraining);
-  }
-  h.dispatcher.Submit(h.Job(&ran, &rejects, &reject_mu));
-  {
-    cqa::MutexLock lock(reject_mu);
-    ASSERT_EQ(rejects.size(), 6u);
-    EXPECT_EQ(rejects.back(), ErrorCode::kDraining);
-  }
-  // Executors started after Drain return immediately.
-  std::thread executor([&] { h.dispatcher.RunExecutor(); });
-  executor.join();
-  EXPECT_EQ(ran.load(), 0);
-  EXPECT_EQ(h.dispatcher.queue_depth(), 0u);
 }
 
 }  // namespace

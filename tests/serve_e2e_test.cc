@@ -2,7 +2,8 @@
 // under concurrent mixed-scheme load, answers cross-checked against
 // single-process ApxCqa runs with the same seeds, a second wave proving
 // the synopsis cache eliminates Preprocess work, wire-level protocol
-// rejections, overload shedding, and graceful drain.
+// rejections, overload shedding, half-closed clients, and graceful
+// drain.
 
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
@@ -341,6 +342,67 @@ TEST_F(ServeE2eTest, OverloadShedsWithRetryAfter) {
 
   server.RequestDrain();
   server.Wait();
+}
+
+// A client that sends its query and then half-closes its socket
+// (shutdown(SHUT_WR)) still reads the answer: EOF on the server's read
+// side closes the connection only after the pending response flushes.
+TEST_F(ServeE2eTest, HalfClosedClientStillGetsItsResponse) {
+  CqadServer server(ServerOptions{});
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  const timeval recv_timeout{30, 0};  // A missing close fails, not hangs.
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &recv_timeout,
+               sizeof(recv_timeout));
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(server.port()));
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  ASSERT_EQ(
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+  Request request = MakeQueryRequest("KL", 41);
+  request.id = "half-closed";
+  const std::string frame = EncodeFrame(request.ToJsonPayload());
+  ASSERT_EQ(::send(fd, frame.data(), frame.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(frame.size()));
+  ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+  FrameDecoder decoder;
+  char buf[4096];
+  ssize_t n = 0;
+  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
+    decoder.Append(buf, static_cast<size_t>(n));
+  }
+  EXPECT_EQ(n, 0) << "the server never closed the connection";
+  ::close(fd);
+
+  std::string payload;
+  ASSERT_EQ(decoder.Next(&payload, &error), FrameDecoder::Status::kFrame)
+      << "no response before EOF";
+  Response response;
+  ASSERT_TRUE(Response::FromPayload(payload, &response, &error)) << error;
+  EXPECT_TRUE(response.ok()) << response.error;
+  EXPECT_EQ(response.id, "half-closed");
+  EXPECT_FALSE(response.answers.empty());
+  EXPECT_EQ(decoder.Next(&payload, &error), FrameDecoder::Status::kNeedMore)
+      << "more than one frame for one request";
+
+  server.RequestDrain();
+  server.Wait();
+}
+
+// Zero workers would start no event loop and no executor: pings would
+// still answer while every query waited forever. Start refuses it.
+TEST_F(ServeE2eTest, ZeroWorkersIsRefusedAtStart) {
+  ServerOptions options;
+  options.workers = 0;
+  CqadServer server(options);
+  std::string error;
+  EXPECT_FALSE(server.Start(&error));
+  EXPECT_EQ(error, "workers must be at least 1");
 }
 
 TEST_F(ServeE2eTest, GracefulDrainCompletesInflightAndRefusesNew) {

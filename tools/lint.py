@@ -41,9 +41,9 @@ Fast, dependency-free checks that encode conventions the compiler cannot:
      sees every lock; raw std::mutex/std::condition_variable/
      std::lock_guard/std::unique_lock use outside that header is
      rejected.  Naked std::thread construction is confined to the pool
-     (src/common/thread_pool.cc) and the daemon's dedicated
-     acceptor/dispatcher and metrics-scrape threads
-     (src/serve/server.cc, src/serve/metrics_http.cc).
+     (src/common/thread_pool.cc), the daemon's event loops, executor
+     host, signal watcher and drainer (src/serve/server.cc), and the
+     metrics listener (src/serve/metrics_http.cc).
  10. Event-demultiplexing discipline: raw epoll_*/poll/ppoll calls are
      confined to src/serve/reactor.* (the event-loop single owner).
      Everyone else goes through reactor's EventLoop/PollReadable so fd
@@ -366,7 +366,8 @@ THREAD_CTOR_PATTERN = re.compile(r"std::j?thread\s*[({]")
 THREAD_CTOR_ALLOWED = {
     # The shared worker pool: the one sanctioned thread factory.
     "src/common/thread_pool.cc",
-    # cqad's dedicated acceptor + dispatcher threads.
+    # cqad's event-loop threads, the host thread that parks the executor
+    # loops on the pool, the signal watcher, and the drainer.
     "src/serve/server.cc",
     # The /metrics HTTP listener: acceptor + per-connection threads (a
     # profile collection holds its connection for seconds and must not

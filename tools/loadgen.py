@@ -48,9 +48,11 @@ Cover) and a small set of seeds, so the daemon's synopsis cache is
 exercised with both hits and misses; pass --scheme to pin one.
 
 Exit status: 0 on success; 1 if any request failed with an unexpected
-error (503-shed responses are expected under deliberate overload and are
-counted, not failed, when --allow-shed is given) or the drain check
-fails.
+error or the drain check fails. Under --allow-shed, 503-shed responses
+are expected and counted, not failed, but the shed contract is checked
+instead: every 503 must carry retry_after_s > 0, and the server's
+admission_shed counter (from the `stats` op) must grow by exactly the
+number of 503s received.
 """
 
 from __future__ import annotations
@@ -299,6 +301,7 @@ class Stats:
         self.by_status: dict[str, int] = {}
         self.cache_hits = 0
         self.shed = 0
+        self.shed_without_retry = 0  # 503s lacking retry_after_s > 0.
         self.failures: list[str] = []
 
     def record(self, elapsed: float, reply: dict) -> None:
@@ -314,6 +317,8 @@ class Stats:
                 self.cache_hits += 1
             if code == 503:
                 self.shed += 1
+                if not float(reply.get("retry_after_s", 0)) > 0:
+                    self.shed_without_retry += 1
 
     def fail(self, message: str) -> None:
         with self.lock:
@@ -327,6 +332,7 @@ class Stats:
                 self.by_status[key] = self.by_status.get(key, 0) + n
             self.cache_hits += other.cache_hits
             self.shed += other.shed
+            self.shed_without_retry += other.shed_without_retry
             self.failures.extend(other.failures)
 
 
@@ -585,11 +591,17 @@ def write_bench_json(args: argparse.Namespace,
     print(f"wrote bench json: {args.bench_out}")
 
 
-def print_server_report(host: str, port: int) -> None:
+def stats_op(host: str, port: int) -> dict:
+    """The `stats` op's reply, or {} when the op fails."""
     try:
-        reply = call(host, port, {"v": 1, "op": "stats"})
+        return call(host, port, {"v": 1, "op": "stats"})
     except (OSError, ConnectionError, ValueError) as err:
         print(f"stats op failed: {err}", file=sys.stderr)
+        return {}
+
+
+def print_server_report(reply: dict) -> None:
+    if not reply:
         return
     server = reply.get("server", {})
     metrics = reply.get("metrics", {})
@@ -611,6 +623,29 @@ def print_server_report(host: str, port: int) -> None:
     builds = counters.get("preprocess.builds")
     if builds is not None:
         print(f"  preprocess.builds: {builds}")
+
+
+def check_shed_contract(stats: Stats, reply: dict, shed_before: int) -> bool:
+    """--allow-shed: every 503 carries retry_after_s > 0, and the server's
+    admission_shed counter grew by exactly the 503s this run received."""
+    ok = True
+    if stats.shed_without_retry:
+        print(f"FAIL: {stats.shed_without_retry} of {stats.shed} 503 "
+              "responses lack retry_after_s > 0", file=sys.stderr)
+        ok = False
+    server = reply.get("server", {})
+    if "admission_shed" not in server:
+        print("FAIL: no admission_shed from the stats op", file=sys.stderr)
+        return False
+    server_shed = int(server["admission_shed"]) - shed_before
+    if server_shed != stats.shed:
+        print(f"FAIL: server admission_shed grew by {server_shed}, but "
+              f"{stats.shed} 503 responses arrived", file=sys.stderr)
+        ok = False
+    if ok:
+        print(f"shed contract: {stats.shed} x 503, each with "
+              "retry_after_s > 0, equal to the server's admission_shed")
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -940,7 +975,10 @@ def parse_args() -> argparse.Namespace:
                         help="distinct seeds to rotate through")
     parser.add_argument("--seed-base", type=int, default=1)
     parser.add_argument("--allow-shed", action="store_true",
-                        help="treat 503 responses as expected, not failures")
+                        help="treat 503 responses as expected, not "
+                             "failures, but require retry_after_s > 0 on "
+                             "each and the server's admission_shed to "
+                             "match their count")
     parser.add_argument("--spawn", default="",
                         help="path to cqad: spawn it, drive it, SIGTERM it")
     parser.add_argument("--workers", type=int, default=8,
@@ -1013,6 +1051,11 @@ def main() -> int:
                   "a comma list of both)", file=sys.stderr)
             return 2
         stats = Stats()
+        # A daemon that was already running may have shed before.
+        shed_before = 0
+        if args.allow_shed:
+            shed_before = int(stats_op(args.host, args.port)
+                              .get("server", {}).get("admission_shed", 0))
         pprof_result: dict = {}
         pprof_thread = None
         if args.pprof:
@@ -1054,7 +1097,11 @@ def main() -> int:
                           f"{args.max_p99 * 1e3:.1f} ms",
                           file=sys.stderr)
                     ok = False
-        print_server_report(args.host, args.port)
+        server_reply = stats_op(args.host, args.port)
+        print_server_report(server_reply)
+        if args.allow_shed and not check_shed_contract(
+                stats, server_reply, shed_before):
+            ok = False
         if args.scrape:
             if args.metrics_port < 0:
                 print("error: --scrape needs --metrics-port",
