@@ -17,12 +17,10 @@
 // query parameters of §6.1 plus the advisor's recommendation.
 
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <initializer_list>
-#include <map>
 #include <string>
 
+#include "common/flags.h"
 #include "cqa/advisor.h"
 #include "cqa/apx_cqa.h"
 #include "cqa/rewriting.h"
@@ -44,37 +42,6 @@
 using namespace cqa;
 
 namespace {
-
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
-  }
-
-  /// Rejects flags the command does not understand. Without this check a
-  /// typo like --obs_reprot= would be swallowed by the flag map and the
-  /// run would silently produce no report.
-  bool ValidateKeys(std::initializer_list<const char*> allowed) const {
-    bool ok = true;
-    for (const auto& [key, value] : flags) {
-      bool known = false;
-      for (const char* a : allowed) known |= key == a;
-      if (!known) {
-        std::fprintf(stderr, "error: unknown flag --%s for command %s\n",
-                     key.c_str(), command.c_str());
-        ok = false;
-      }
-    }
-    return ok;
-  }
-};
 
 int Usage() {
   std::fprintf(stderr,
@@ -110,7 +77,7 @@ bool LoadData(const std::string& dir, Database* db) {
   return true;
 }
 
-bool ParseQueryFlag(const Schema& schema, const Args& args,
+bool ParseQueryFlag(const Schema& schema, const Flags& args,
                     ConjunctiveQuery* q) {
   std::string text = args.Get("query", "");
   if (text.empty()) {
@@ -125,13 +92,13 @@ bool ParseQueryFlag(const Schema& schema, const Args& args,
   return true;
 }
 
-int CmdGen(const Args& args) {
+int CmdGen(const Flags& args) {
   if (!args.ValidateKeys({"schema", "sf", "out", "seed"})) return Usage();
   std::string out = args.Get("out", "");
-  if (out.empty()) return Usage();
+  const double sf = args.GetDouble("sf", 0.0005);
+  const uint64_t seed = args.GetCount("seed", 1);
+  if (out.empty() || !args.ok()) return Usage();
   std::filesystem::create_directories(out);
-  double sf = args.GetDouble("sf", 0.0005);
-  uint64_t seed = static_cast<uint64_t>(args.GetDouble("seed", 1));
   Dataset d;
   if (args.Get("schema", "tpch") == "tpcds") {
     d = GenerateTpcds(TpcdsOptions{sf, seed});
@@ -148,11 +115,17 @@ int CmdGen(const Args& args) {
   return 0;
 }
 
-int CmdNoise(const Args& args) {
+int CmdNoise(const Flags& args) {
   if (!args.ValidateKeys(
           {"schema", "data", "out", "query", "p", "min", "max", "seed"})) {
     return Usage();
   }
+  Rng rng(args.GetCount("seed", 7));
+  NoiseOptions options;
+  options.p = args.GetDouble("p", 0.5);
+  options.min_block_size = args.GetCount("min", 2);
+  options.max_block_size = args.GetCount("max", 5);
+  if (!args.ok()) return Usage();
   Schema schema = MakeSchema(args.Get("schema", "tpch"));
   Database db(&schema);
   if (!LoadData(args.Get("data", "."), &db)) return 1;
@@ -162,11 +135,6 @@ int CmdNoise(const Args& args) {
   if (out.empty()) return Usage();
   std::filesystem::create_directories(out);
 
-  Rng rng(static_cast<uint64_t>(args.GetDouble("seed", 7)));
-  NoiseOptions options;
-  options.p = args.GetDouble("p", 0.5);
-  options.min_block_size = static_cast<size_t>(args.GetDouble("min", 2));
-  options.max_block_size = static_cast<size_t>(args.GetDouble("max", 5));
   NoiseStats stats = AddQueryAwareNoise(&db, q, options, rng);
   std::string error;
   if (!WriteTblDirectory(db, out, &error)) {
@@ -194,7 +162,7 @@ bool WriteTextFile(const std::string& path, const std::string& content) {
   return ok;
 }
 
-int CmdRun(const Args& args) {
+int CmdRun(const Flags& args) {
   if (!args.ValidateKeys({"schema", "data", "query", "scheme", "epsilon",
                           "delta", "timeout", "seed", "obs_report",
                           "obs_trace", "obs_trace_chrome", "obs_convergence",
@@ -202,11 +170,17 @@ int CmdRun(const Args& args) {
                           "obs_profile_hz", "obs_profile_fold"})) {
     return Usage();
   }
+  ApxParams params;
+  params.epsilon = args.GetDouble("epsilon", 0.1);
+  params.delta = args.GetDouble("delta", 0.25);
+  const double timeout = args.GetDouble("timeout", -1.0);
+  const uint64_t seed = args.GetCount("seed", 7);
+  if (!args.ok()) return Usage();
   const std::string profile_path = args.Get("obs_profile", "");
   const std::string profile_fold_path = args.Get("obs_profile_fold", "");
   const bool profiling = !profile_path.empty() || !profile_fold_path.empty();
 #ifdef CQABENCH_NO_OBS
-  if (profiling || args.flags.count("obs_profile_hz") != 0) {
+  if (profiling || args.Has("obs_profile_hz")) {
     std::fprintf(stderr,
                  "error: --obs_profile* requires an observability build; "
                  "this binary was compiled with CQABENCH_NO_OBS\n");
@@ -216,6 +190,7 @@ int CmdRun(const Args& args) {
   if (profiling) {
     obs::ProfilerOptions popts;
     const double hz = args.GetDouble("obs_profile_hz", popts.hz);
+    if (!args.ok()) return Usage();
     if (hz < 1 || hz > 1000) {
       std::fprintf(stderr, "error: --obs_profile_hz must be in [1, 1000]\n");
       return 1;
@@ -239,11 +214,6 @@ int CmdRun(const Args& args) {
     std::fprintf(stderr, "error: unknown scheme (Natural|KL|KLM|Cover)\n");
     return 1;
   }
-  ApxParams params;
-  params.epsilon = args.GetDouble("epsilon", 0.1);
-  params.delta = args.GetDouble("delta", 0.25);
-  double timeout = args.GetDouble("timeout", -1.0);
-
   obs::RunReporter reporter;
   std::string report_path = args.Get("obs_report", "");
   if (!report_path.empty()) {
@@ -266,7 +236,7 @@ int CmdRun(const Args& args) {
   params.record_convergence =
       convergence.is_open() || !bench_json_path.empty();
 
-  Rng rng(static_cast<uint64_t>(args.GetDouble("seed", 7)));
+  Rng rng(seed);
   CqaRunResult run =
       ApxCqa(db, q, *scheme, params, rng,
              timeout > 0 ? Deadline(timeout) : Deadline::Infinite());
@@ -287,7 +257,7 @@ int CmdRun(const Args& args) {
       obs::BenchJsonWriter writer;
       obs::BenchMetadata meta;
       meta.name = "cqa_cli";
-      meta.seed = static_cast<uint64_t>(args.GetDouble("seed", 7));
+      meta.seed = seed;
       meta.timeout_seconds = timeout;
       meta.epsilon = params.epsilon;
       meta.delta = params.delta;
@@ -350,7 +320,7 @@ int CmdRun(const Args& args) {
   return 0;
 }
 
-int CmdPrep(const Args& args) {
+int CmdPrep(const Flags& args) {
   if (!args.ValidateKeys({"schema", "data", "query", "out"})) return Usage();
   Schema schema = MakeSchema(args.Get("schema", "tpch"));
   Database db(&schema);
@@ -372,12 +342,16 @@ int CmdPrep(const Args& args) {
   return 0;
 }
 
-int CmdApprox(const Args& args) {
+int CmdApprox(const Flags& args) {
   if (!args.ValidateKeys({"syn", "scheme", "epsilon", "delta", "seed"})) {
     return Usage();
   }
   std::string path = args.Get("syn", "");
-  if (path.empty()) return Usage();
+  ApxParams params;
+  params.epsilon = args.GetDouble("epsilon", 0.1);
+  params.delta = args.GetDouble("delta", 0.25);
+  Rng rng(args.GetCount("seed", 7));
+  if (path.empty() || !args.ok()) return Usage();
   std::vector<AnswerSynopsis> synopses;
   std::string error;
   if (!ReadSynopses(path, &synopses, &error)) {
@@ -390,10 +364,6 @@ int CmdApprox(const Args& args) {
     std::fprintf(stderr, "error: unknown scheme (Natural|KL|KLM|Cover)\n");
     return 1;
   }
-  ApxParams params;
-  params.epsilon = args.GetDouble("epsilon", 0.1);
-  params.delta = args.GetDouble("delta", 0.25);
-  Rng rng(static_cast<uint64_t>(args.GetDouble("seed", 7)));
   auto apx = ApxRelativeFreqScheme::Create(*scheme);
   for (const AnswerSynopsis& as : synopses) {
     ApxResult r = apx->Run(as.synopsis, params, rng);
@@ -402,7 +372,7 @@ int CmdApprox(const Args& args) {
   return 0;
 }
 
-int CmdProfile(const Args& args) {
+int CmdProfile(const Flags& args) {
   if (!args.ValidateKeys({"schema", "data", "query"})) return Usage();
   Schema schema = MakeSchema(args.Get("schema", "tpch"));
   Database db(&schema);
@@ -436,7 +406,7 @@ int CmdProfile(const Args& args) {
   return 0;
 }
 
-int CmdSql(const Args& args) {
+int CmdSql(const Flags& args) {
   if (!args.ValidateKeys({"schema", "query"})) return Usage();
   Schema schema = MakeSchema(args.Get("schema", "tpch"));
   ConjunctiveQuery q;
@@ -456,15 +426,9 @@ int CmdSql(const Args& args) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  Args args;
+  Flags args;
   args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) return Usage();
-    const char* eq = std::strchr(arg, '=');
-    if (eq == nullptr) return Usage();
-    args.flags[std::string(arg + 2, eq)] = std::string(eq + 1);
-  }
+  if (!args.Parse(argc, argv, 2)) return Usage();
   if (args.command == "gen") return CmdGen(args);
   if (args.command == "noise") return CmdNoise(args);
   if (args.command == "run") return CmdRun(args);

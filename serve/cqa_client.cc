@@ -22,42 +22,14 @@
 // (status printed on stderr with the protocol code name).
 
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 
+#include "common/flags.h"
 #include "serve/client.h"
 
 using namespace cqa;
 
 namespace {
-
-struct Args {
-  std::string command;
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool ValidateKeys(std::initializer_list<const char*> allowed) const {
-    bool ok = true;
-    for (const auto& [key, value] : flags) {
-      bool known = false;
-      for (const char* a : allowed) known |= key == a;
-      if (!known) {
-        std::fprintf(stderr, "error: unknown flag --%s for command %s\n",
-                     key.c_str(), command.c_str());
-        ok = false;
-      }
-    }
-    return ok;
-  }
-};
 
 int Usage() {
   std::fprintf(
@@ -86,15 +58,9 @@ int ReportServerError(const serve::Response& response) {
 
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  Args args;
+  Flags args;
   args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) return Usage();
-    const char* eq = std::strchr(arg, '=');
-    if (eq == nullptr) return Usage();
-    args.flags[std::string(arg + 2, eq)] = std::string(eq + 1);
-  }
+  if (!args.Parse(argc, argv, 2)) return Usage();
 
   serve::Request request;
   if (args.command == "query") {
@@ -111,8 +77,8 @@ int main(int argc, char** argv) {
     request.epsilon = args.GetDouble("epsilon", 0.1);
     request.delta = args.GetDouble("delta", 0.25);
     request.deadline_s = args.GetDouble("deadline", 0.0);
-    request.seed = static_cast<uint64_t>(args.GetDouble("seed", 7));
-    request.threads = static_cast<int>(args.GetDouble("threads", 1));
+    request.seed = args.GetCount("seed", 7);
+    request.threads = static_cast<int>(args.GetCount("threads", 1));
     request.want_record = args.GetDouble("record", 0) != 0;
     request.id = args.Get("id", "");
     request.trace_id = args.Get("trace", "");
@@ -126,6 +92,8 @@ int main(int argc, char** argv) {
   } else {
     return Usage();
   }
+  const int port = args.GetPort("port", 0);
+  if (!args.ok()) return Usage();
   const std::string codec_name = args.Get("codec", "json");
   if (codec_name != "json" && codec_name != "binary") {
     std::fprintf(stderr, "error: --codec must be json or binary\n");
@@ -136,8 +104,7 @@ int main(int argc, char** argv) {
   client.set_codec(codec_name == "binary" ? serve::WireCodec::kBinary
                                           : serve::WireCodec::kJson);
   std::string error;
-  if (!client.Connect(args.Get("host", "127.0.0.1"),
-                      static_cast<int>(args.GetDouble("port", 0)), &error)) {
+  if (!client.Connect(args.Get("host", "127.0.0.1"), port, &error)) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 1;
   }

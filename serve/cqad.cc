@@ -18,56 +18,32 @@
 // gets 503 with retry_after_s. --max_pending is the open-connection cap:
 // accepts beyond it get 503 and are closed.
 //
+// Numeric flags are strict (common/flags.h): a bad value exits 2 with
+// usage before anything binds.
+//
 // Prints one line "cqad listening on HOST:PORT" once ready (loadgen and
 // the e2e tests parse it), then — when --metrics_port was given — a
 // second line "cqad metrics on HOST:PORT" for the Prometheus /metrics +
-// /healthz + /debug/pprof listener. Serves until SIGTERM/SIGINT, which
+// /healthz + /debug/pprof endpoints, which the server's event loop 0
+// serves beside the frame listener. Serves until SIGTERM/SIGINT, which
 // triggers the graceful drain documented in DESIGN.md §9; --obs_trace
 // exports the span ring as JSONL after the drain completes.
 // --obs_resource_interval (default 1s; 0 disables) sets the tick of the
 // background resource sampler publishing the proc.* gauges.
 
 #include <cstdio>
-#include <cstring>
-#include <map>
 #include <string>
 
-#include "obs/exposition.h"
+#include "common/flags.h"
 #include "obs/report.h"
 #include "obs/resource.h"
 #include "obs/trace.h"
 #include "serve/access_log.h"
-#include "serve/metrics_http.h"
 #include "serve/server.h"
 
 using namespace cqa;
 
 namespace {
-
-struct Args {
-  std::map<std::string, std::string> flags;
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : it->second;
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = flags.find(key);
-    return it == flags.end() ? fallback : std::atof(it->second.c_str());
-  }
-  bool ValidateKeys(std::initializer_list<const char*> allowed) const {
-    bool ok = true;
-    for (const auto& [key, value] : flags) {
-      bool known = false;
-      for (const char* a : allowed) known |= key == a;
-      if (!known) {
-        std::fprintf(stderr, "error: unknown flag --%s\n", key.c_str());
-        ok = false;
-      }
-    }
-    return ok;
-  }
-};
 
 int Usage() {
   std::fprintf(
@@ -86,14 +62,8 @@ int Usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strncmp(arg, "--", 2) != 0) return Usage();
-    const char* eq = std::strchr(arg, '=');
-    if (eq == nullptr) return Usage();
-    args.flags[std::string(arg + 2, eq)] = std::string(eq + 1);
-  }
+  Flags args;
+  if (!args.Parse(argc, argv, 1)) return Usage();
   if (!args.ValidateKeys({"host", "port", "workers", "max_inflight",
                           "max_queue", "max_pending", "max_frame_mb",
                           "drain_timeout", "cache_entries",
@@ -106,21 +76,21 @@ int main(int argc, char** argv) {
 
   serve::ServerOptions options;
   options.host = args.Get("host", "127.0.0.1");
-  options.port = static_cast<int>(args.GetDouble("port", 0));
-  options.workers = static_cast<size_t>(args.GetDouble("workers", 4));
-  options.max_inflight =
-      static_cast<size_t>(args.GetDouble("max_inflight", 0));
-  options.max_queue = static_cast<size_t>(args.GetDouble("max_queue", 320));
-  options.max_pending_connections =
-      static_cast<size_t>(args.GetDouble("max_pending", 256));
-  options.max_frame_bytes =
-      static_cast<size_t>(args.GetDouble("max_frame_mb", 8)) * 1024 * 1024;
+  options.port = args.GetPort("port", 0);
+  options.metrics_port = args.GetPort("metrics_port", -1);
+  options.workers = args.GetCount("workers", 4);
+  options.max_inflight = args.GetCount("max_inflight", 0);
+  options.max_queue = args.GetCount("max_queue", 320);
+  options.max_pending_connections = args.GetCount("max_pending", 256);
+  options.max_frame_bytes = args.GetCount("max_frame_mb", 8) * 1024 * 1024;
   options.drain_timeout_s = args.GetDouble("drain_timeout", 10.0);
-  options.engine.cache_entries =
-      static_cast<size_t>(args.GetDouble("cache_entries", 64));
-  options.engine.db_cache_entries =
-      static_cast<size_t>(args.GetDouble("db_cache_entries", 4));
+  options.engine.cache_entries = args.GetCount("cache_entries", 64);
+  options.engine.db_cache_entries = args.GetCount("db_cache_entries", 4);
   options.engine.default_deadline_s = args.GetDouble("default_deadline", 30);
+  const double access_sample = args.GetDouble("obs_access_sample", 1.0);
+  const double access_slow_ms = args.GetDouble("obs_access_slow_ms", 500);
+  const double resource_interval = args.GetDouble("obs_resource_interval", 1.0);
+  if (!args.ok()) return Usage();
 
   obs::RunReporter reporter;
   std::string report_path = args.Get("obs_report", "");
@@ -134,11 +104,8 @@ int main(int argc, char** argv) {
   }
 
   serve::AccessLog access_log(serve::AccessLogOptions{
-      args.Get("obs_access_log", ""),
-      args.GetDouble("obs_access_sample", 1.0),
-      static_cast<uint64_t>(args.GetDouble("obs_access_slow_ms", 500) *
-                            1000.0),
-      7});
+      args.Get("obs_access_log", ""), access_sample,
+      static_cast<uint64_t>(access_slow_ms * 1000.0), 7});
   if (!args.Get("obs_access_log", "").empty()) {
     std::string error;
     if (!access_log.Open(&error)) {
@@ -148,7 +115,6 @@ int main(int argc, char** argv) {
     options.access_log = &access_log;
   }
 
-  const double resource_interval = args.GetDouble("obs_resource_interval", 1.0);
   if (resource_interval > 0.0) {
     std::string resource_error;
     if (!obs::ResourceSampler::Instance().Start(resource_interval,
@@ -167,27 +133,13 @@ int main(int argc, char** argv) {
   }
   std::printf("cqad listening on %s:%d\n", options.host.c_str(),
               server.port());
+  if (options.metrics_port >= 0) {
+    std::printf("cqad metrics on %s:%d\n", options.host.c_str(),
+                server.metrics_port());
+  }
   std::fflush(stdout);
 
-  serve::MetricsHttpServer metrics_http(serve::MetricsHttpOptions{
-      options.host,
-      static_cast<int>(args.GetDouble("metrics_port", -1)),
-      [] { return obs::RegistryPrometheusText(); },
-      [&server] { return !server.draining(); }});
-  if (args.flags.count("metrics_port") != 0) {
-    if (!metrics_http.Start(&error)) {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      server.RequestDrain();
-      server.Wait();
-      return 1;
-    }
-    std::printf("cqad metrics on %s:%d\n", options.host.c_str(),
-                metrics_http.port());
-    std::fflush(stdout);
-  }
-
   server.Wait();
-  metrics_http.Stop();
   obs::ResourceSampler::Instance().Stop();
   std::string trace_path = args.Get("obs_trace", "");
   if (!trace_path.empty()) {

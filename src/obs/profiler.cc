@@ -7,7 +7,7 @@
 //   exports (folded text, pprof proto + gzip) walk the trie.
 //
 // Locking (see the architecture.md lock table):
-//   control_mu_  Start/Stop/CollectFor serialization — the only non-leaf
+//   control_mu_  Start/Stop serialization — the only non-leaf
 //                lock here: Stop holds it while taking the leaves below.
 //   threads_mu_  thread table + states + timers (writers only; the
 //                signal handler reads the table lock-free)
@@ -354,10 +354,6 @@ class ProfilerImpl {
       CQA_EXCLUDES(control_mu_);
   void Stop() CQA_EXCLUDES(control_mu_);
   bool running() const { return running_.load(std::memory_order_acquire); }
-  Profiler::CollectResult CollectFor(double seconds,
-                                     const ProfilerOptions& options,
-                                     const std::function<bool()>& keep_going,
-                                     std::string* error);
 
   std::string FoldedText() const CQA_EXCLUDES(agg_mu_);
   std::string PprofProfile() const CQA_EXCLUDES(agg_mu_);
@@ -383,7 +379,6 @@ class ProfilerImpl {
 
   // --- Control (Start/Stop serialization, one collection at a time).
   mutable Mutex control_mu_;
-  bool session_open_ CQA_GUARDED_BY(control_mu_) = false;
   std::atomic<bool> running_{false};
 
   // --- Thread table (writers); the signal handler reads lock-free.
@@ -592,36 +587,6 @@ void ProfilerImpl::Stop() {
   }
   Registry::Instance().GetGauge("obs.profile_running")->Set(0);
   running_.store(false, std::memory_order_release);
-}
-
-Profiler::CollectResult ProfilerImpl::CollectFor(
-    double seconds, const ProfilerOptions& options,
-    const std::function<bool()>& keep_going, std::string* error) {
-  {
-    MutexLock control(control_mu_);
-    if (session_open_) {
-      *error = "profile collection already in progress";
-      return Profiler::CollectResult::kBusy;
-    }
-    session_open_ = true;
-  }
-  Profiler::CollectResult result = Profiler::CollectResult::kOk;
-  if (!Start(options, error)) {
-    result = Profiler::CollectResult::kError;
-  } else {
-    const int64_t deadline =
-        NowNanos(CLOCK_MONOTONIC) +
-        static_cast<int64_t>(seconds * 1e9);
-    while (NowNanos(CLOCK_MONOTONIC) < deadline) {
-      if (keep_going && !keep_going()) break;  // Drain/stop: cut short.
-      struct timespec ts = {0, 100 * 1000 * 1000};  // 100ms tick.
-      ::nanosleep(&ts, nullptr);
-    }
-    Stop();
-  }
-  MutexLock control(control_mu_);
-  session_open_ = false;
-  return result;
 }
 
 void ProfilerImpl::AggregatorLoop() {
@@ -1055,12 +1020,6 @@ bool Profiler::Start(const ProfilerOptions& options, std::string* error) {
 void Profiler::Stop() { ProfilerImpl::Get().Stop(); }
 
 bool Profiler::running() const { return ProfilerImpl::Get().running(); }
-
-Profiler::CollectResult Profiler::CollectFor(
-    double seconds, const ProfilerOptions& options,
-    const std::function<bool()>& keep_going, std::string* error) {
-  return ProfilerImpl::Get().CollectFor(seconds, options, keep_going, error);
-}
 
 std::string Profiler::FoldedText() const {
   return ProfilerImpl::Get().FoldedText();

@@ -16,11 +16,11 @@
 // and stored-block gzip container — no protobuf or zlib dependency),
 // decodable by `go tool pprof` and tools/profile_view.py.
 //
-// Thread ownership: Start/Stop/CollectFor may be called from any thread
-// but are serialized by an internal control mutex; one collection runs
-// at a time (CollectFor returns kBusy to concurrent callers — the
-// /debug/pprof/profile endpoint maps that to 409). Export accessors are
-// safe during and after a collection. The whole module compiles out
+// Thread ownership: Start/Stop may be called from any thread but are
+// serialized by an internal control mutex; one collection runs at a
+// time (Start fails while running() — the /debug/pprof/profile
+// endpoint answers 409 then). Export accessors are safe during and
+// after a collection. The whole module compiles out
 // under CQABENCH_NO_OBS (zero profiler symbols in the archive), and
 // Start refuses to run under ASan/TSan, whose signal interception is
 // incompatible with unwinding from a SIGPROF handler (kAvailable).
@@ -30,7 +30,6 @@
 #ifndef CQABENCH_NO_OBS
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 namespace cqa::obs {
@@ -85,15 +84,6 @@ class Profiler {
   void Stop();
 
   bool running() const;
-
-  enum class CollectResult { kOk, kBusy, kError };
-
-  /// One-shot collection: Start, wait ~seconds (polling keep_going every
-  /// 100ms for early abort — the HTTP endpoint passes its drain/stop
-  /// probe), Stop. kBusy when a collection is already in flight.
-  CollectResult CollectFor(double seconds, const ProfilerOptions& options,
-                           const std::function<bool()>& keep_going,
-                           std::string* error);
 
   /// Collapsed-stack text: one "frame;frame;... count" line per distinct
   /// stack, root first, region tags as leading "[name]" frames.

@@ -1,18 +1,21 @@
 #include "serve/metrics_http.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "obs/exposition.h"
 #include "obs/resource.h"
-#include "serve/reactor.h"
+#include "serve/server.h"
 #ifndef CQABENCH_NO_OBS
 #include "obs/profiler.h"
 #endif
@@ -21,8 +24,12 @@ namespace cqa::serve {
 
 namespace {
 
-constexpr int kPollTickMs = 100;
-constexpr size_t kMaxRequestBytes = 8 * 1024;
+// A request head is routed on what has arrived once it reaches this
+// size, without waiting for its blank line.
+constexpr size_t kMaxHttpHeadBytes = 8 * 1024;
+
+// Ceiling for /debug/pprof/profile?seconds=N.
+constexpr double kMaxProfileSeconds = 60.0;
 
 std::string HttpResponse(int status, const std::string& reason,
                          const std::string& content_type,
@@ -38,20 +45,6 @@ std::string HttpResponse(int status, const std::string& reason,
 std::string TextResponse(int status, const std::string& reason,
                          const std::string& body) {
   return HttpResponse(status, reason, "text/plain; charset=utf-8", body);
-}
-
-bool SendAll(int fd, const std::string& data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + off, data.size() - off,
-                       MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    off += static_cast<size_t>(n);
-  }
-  return true;
 }
 
 /// "seconds=2&hz=99" -> {{"seconds","2"},{"hz","99"}}. No %-decoding:
@@ -74,6 +67,8 @@ std::map<std::string, std::string> ParseQuery(const std::string& query) {
   return params;
 }
 
+#ifndef CQABENCH_NO_OBS
+// Only the profile endpoint reads numeric parameters.
 double ParamDouble(const std::map<std::string, std::string>& params,
                    const std::string& key, double fallback) {
   const auto it = params.find(key);
@@ -83,6 +78,7 @@ double ParamDouble(const std::map<std::string, std::string>& params,
   if (end == it->second.c_str()) return fallback;
   return v;
 }
+#endif  // CQABENCH_NO_OBS
 
 const char kPprofIndex[] =
     "cqad /debug/pprof endpoints:\n"
@@ -96,192 +92,147 @@ const char kPprofIndex[] =
 
 }  // namespace
 
-MetricsHttpServer::MetricsHttpServer(const MetricsHttpOptions& options)
-    : options_(options) {}
+// One HTTP connection: read the request head, send one response, close.
+// Confined to loop 0 like every Conn is to its own loop.
+class CqadServer::HttpConn : public EpollHandler {
+ public:
+  HttpConn(CqadServer* server, uint64_t id, int fd)
+      : server_(server), id_(id), fd_(fd) {}
+  ~HttpConn() override { ::close(fd_); }
 
-MetricsHttpServer::~MetricsHttpServer() { Stop(); }
+  bool routed() const { return routed_; }
 
-bool MetricsHttpServer::Start(std::string* error) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return false;
+  void OnEvents(uint32_t events) override {
+    if ((events & (EPOLLHUP | EPOLLERR)) != 0) {
+      Close();
+    } else if ((events & EPOLLOUT) != 0 && !out_.empty()) {
+      Flush();
+    } else if ((events & (EPOLLIN | EPOLLRDHUP)) != 0 && !routed_) {
+      ReadHead();
+    }
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    *error = "invalid metrics listen address: " + options_.host;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    *error = "bind metrics " + options_.host + ":" +
-             std::to_string(options_.port) + ": " + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::listen(listen_fd_, 16) != 0) {
-    *error = std::string("listen (metrics): ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
-  port_ = ntohs(bound.sin_port);
-  thread_ = std::thread([this] { Loop(); });
-  return true;
-}
 
-void MetricsHttpServer::Stop() {
-  if (!stop_.exchange(true)) {
-    // First Stop: the acceptor exits on its next tick; any in-flight
-    // profile collection notices stop_ through its keep-going probe.
+  /// Queues the whole response and closes once the socket took it.
+  void Send(std::string response) {
+    out_ = std::move(response);
+    Flush();
   }
-  if (thread_.joinable()) thread_.join();
-  ReapConnections(/*all=*/true);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-}
 
-void MetricsHttpServer::ReapConnections(bool all) {
-  // Joining with conn_mu_ held would deadlock against a finishing
-  // handler registering in done_, so move the handles out first.
-  std::vector<std::thread> to_join;
-  {
-    MutexLock lock(conn_mu_);
-    if (all) {
-      for (auto& [id, thread] : conns_) to_join.push_back(std::move(thread));
-      conns_.clear();
-      done_.clear();
-    } else {
-      for (const uint64_t id : done_) {
-        auto it = conns_.find(id);
-        if (it == conns_.end()) continue;
-        to_join.push_back(std::move(it->second));
-        conns_.erase(it);
+  /// Unregisters and schedules destruction; at most once.
+  void Close() {
+    if (closed_) return;
+    closed_ = true;
+    server_->http_conns_.erase(id_);
+    server_->loops_[0]->Destroy(fd_, this);  // ~HttpConn closes fd_.
+  }
+
+ private:
+  /// Reads until EAGAIN (edge-triggered), then routes the request line
+  /// once the head is complete, reaches kMaxHttpHeadBytes, or the peer
+  /// half-closes (what arrived is answered).
+  void ReadHead() {
+    char buf[2048];
+    for (;;) {
+      const ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) Close();
+        return;
       }
-      done_.clear();
+      head_.append(buf, static_cast<size_t>(n));
+      if (n == 0 || head_.size() >= kMaxHttpHeadBytes ||
+          head_.find("\r\n\r\n") != std::string::npos ||
+          head_.find("\n\n") != std::string::npos) {
+        break;
+      }
     }
+    routed_ = true;
+    const std::string reply =
+        server_->RouteHttp(id_, head_.substr(0, head_.find_first_of("\r\n")));
+    if (!reply.empty()) Send(reply);
   }
-  for (std::thread& t : to_join) {
-    if (t.joinable()) t.join();
-  }
-}
 
-void MetricsHttpServer::Loop() {
-  while (!stop_.load()) {
-    const int ready = PollReadable(listen_fd_, kPollTickMs);
-    ReapConnections(/*all=*/false);
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    MutexLock lock(conn_mu_);
-    if (conns_.size() >= static_cast<size_t>(options_.max_connections)) {
-      lock.Unlock();
-      SendAll(fd, TextResponse(503, "Service Unavailable", "busy\n"));
-      ::close(fd);
-      lock.Lock();
+  void Flush() {
+    while (sent_ < out_.size()) {
+      const ssize_t n = ::send(fd_, out_.data() + sent_, out_.size() - sent_,
+                               MSG_NOSIGNAL);
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        if (errno != EAGAIN && errno != EWOULDBLOCK) Close();
+        return;  // EAGAIN: EPOLLOUT resumes the write.
+      }
+      sent_ += static_cast<size_t>(n);
+    }
+    Close();
+  }
+
+  CqadServer* const server_;
+  const uint64_t id_;
+  const int fd_;
+  std::string head_;
+  std::string out_;
+  size_t sent_ = 0;
+  bool routed_ = false;
+  bool closed_ = false;
+};
+
+void CqadServer::AcceptHttp() {
+  for (;;) {
+    const int fd = ::accept4(http_fd_, nullptr, nullptr,
+                             SOCK_NONBLOCK | SOCK_CLOEXEC);
+    if (fd < 0) {
+      if (errno == EINTR) continue;
+      return;  // EAGAIN, or the listener closed.
+    }
+    const uint64_t id = next_conn_id_.fetch_add(1);
+    auto* conn = new HttpConn(this, id, fd);
+    // A head that arrived before registration still raises the first
+    // edge: epoll reports an fd that is ready when it is added.
+    if (!loops_[0]->Add(fd, EPOLLIN | EPOLLOUT | EPOLLET | EPOLLRDHUP,
+                        conn)) {
+      delete conn;
       continue;
     }
-    const uint64_t id = next_conn_id_++;
-    conns_.emplace(id, std::thread([this, fd, id] {
-      ServeOne(fd);
-      MutexLock done_lock(conn_mu_);
-      done_.push_back(id);
-    }));
+    http_conns_.emplace(id, conn);
+    loops_[0]->RunAfter(kHttpHeadTimeoutSeconds, [this, id] {
+      const auto it = http_conns_.find(id);
+      if (it != http_conns_.end() && !it->second->routed()) {
+        it->second->Close();
+      }
+    });
   }
 }
 
-void MetricsHttpServer::ServeOne(int fd) {
-  // Read until the end of the request head (blank line) or cap/timeout.
-  // Scrapers send tiny GETs; ~2s of patience is plenty.
-  std::string head;
-  char buf[2048];
-  for (int ticks = 0; ticks < 20 && head.size() < kMaxRequestBytes; ++ticks) {
-    const int ready = PollReadable(fd, kPollTickMs);
-    if (ready < 0 && errno != EINTR) break;
-    if (ready <= 0) {
-      if (stop_.load()) break;
-      continue;
-    }
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    head.append(buf, static_cast<size_t>(n));
-    if (head.find("\r\n\r\n") != std::string::npos ||
-        head.find("\n\n") != std::string::npos) {
-      break;
-    }
+void CqadServer::CloseHttp() {
+  if (http_fd_ >= 0) {
+    ::close(http_fd_);
+    http_fd_ = -1;
   }
-  const size_t eol = head.find_first_of("\r\n");
-  const std::string request_line =
-      eol == std::string::npos ? head : head.substr(0, eol);
-  SendAll(fd, HandleRequestLine(request_line));
-  ::close(fd);
+  std::vector<HttpConn*> conns;
+  conns.reserve(http_conns_.size());
+  for (const auto& [id, conn] : http_conns_) conns.push_back(conn);
+  for (HttpConn* conn : conns) conn->Close();
 }
 
-std::string MetricsHttpServer::HandleProfile(
-    const std::map<std::string, std::string>& params) const {
-#ifdef CQABENCH_NO_OBS
-  (void)params;
-  return TextResponse(501, "Not Implemented",
-                      "profiler compiled out (CQABENCH_NO_OBS build)\n");
-#else
-  if (!obs::Profiler::kAvailable) {
-    return TextResponse(501, "Not Implemented",
-                        "profiler unavailable in sanitizer builds\n");
-  }
-  const bool healthy = options_.healthy ? options_.healthy() : true;
-  if (!healthy) {
-    return TextResponse(503, "Service Unavailable", "draining\n");
-  }
-  double seconds = ParamDouble(params, "seconds", 1.0);
-  if (!(seconds > 0.0)) seconds = 1.0;
-  if (seconds > options_.max_profile_seconds) {
-    seconds = options_.max_profile_seconds;
-  }
-  obs::ProfilerOptions popts;
-  const double hz = ParamDouble(params, "hz", popts.hz);
-  if (hz >= 1.0 && hz <= 1000.0) popts.hz = static_cast<int>(hz);
-
-  // A drain or server Stop arriving mid-collection cuts the window
-  // short; whatever was captured by then still goes out (200).
-  const auto keep_going = [this] {
-    if (stop_.load()) return false;
-    return options_.healthy ? options_.healthy() : true;
-  };
-  std::string error;
+void CqadServer::FinishProfile(uint64_t conn_id) {
+#ifndef CQABENCH_NO_OBS
+  if (conn_id == 0 || conn_id != profile_conn_) return;
+  profile_conn_ = 0;
   obs::Profiler& profiler = obs::Profiler::Instance();
-  const auto result = profiler.CollectFor(seconds, popts, keep_going, &error);
-  switch (result) {
-    case obs::Profiler::CollectResult::kBusy:
-      return TextResponse(409, "Conflict", error + "\n");
-    case obs::Profiler::CollectResult::kError:
-      return TextResponse(500, "Internal Server Error", error + "\n");
-    case obs::Profiler::CollectResult::kOk:
-      break;
-  }
-  if (params.count("fold") != 0 && params.at("fold") != "0") {
-    return TextResponse(200, "OK", profiler.FoldedText());
-  }
-  return HttpResponse(200, "OK", "application/octet-stream",
-                      profiler.PprofGzipped());
+  profiler.Stop();
+  const auto it = http_conns_.find(conn_id);
+  if (it == http_conns_.end()) return;  // The peer left; still stopped.
+  it->second->Send(profile_fold_
+                       ? TextResponse(200, "OK", profiler.FoldedText())
+                       : HttpResponse(200, "OK", "application/octet-stream",
+                                      profiler.PprofGzipped()));
+#else
+  (void)conn_id;
 #endif  // CQABENCH_NO_OBS
 }
 
-std::string MetricsHttpServer::HandleRequestLine(
-    const std::string& request_line) const {
+std::string CqadServer::RouteHttp(uint64_t conn_id,
+                                  const std::string& request_line) {
   // "GET /path HTTP/1.1" — method, one space, target, one space, rest.
   const size_t sp1 = request_line.find(' ');
   if (sp1 == std::string::npos) {
@@ -302,23 +253,54 @@ std::string MetricsHttpServer::HandleRequestLine(
     return TextResponse(405, "Method Not Allowed", "GET only\n");
   }
   if (target == "/metrics") {
-    const std::string body =
-        options_.metrics_body ? options_.metrics_body() : std::string();
     return HttpResponse(200, "OK",
-                        "text/plain; version=0.0.4; charset=utf-8", body);
+                        "text/plain; version=0.0.4; charset=utf-8",
+                        obs::RegistryPrometheusText());
   }
   if (target == "/healthz") {
-    const bool healthy = options_.healthy ? options_.healthy() : true;
-    if (healthy) {
-      return TextResponse(200, "OK", "ok\n");
+    if (draining_.load()) {
+      return TextResponse(503, "Service Unavailable", "draining\n");
     }
-    return TextResponse(503, "Service Unavailable", "draining\n");
+    return TextResponse(200, "OK", "ok\n");
   }
   if (target == "/debug/pprof" || target == "/debug/pprof/") {
     return TextResponse(200, "OK", kPprofIndex);
   }
   if (target == "/debug/pprof/profile") {
-    return HandleProfile(params);
+#ifdef CQABENCH_NO_OBS
+    (void)conn_id;
+    return TextResponse(501, "Not Implemented",
+                        "profiler compiled out (CQABENCH_NO_OBS build)\n");
+#else
+    obs::Profiler& profiler = obs::Profiler::Instance();
+    if (!obs::Profiler::kAvailable) {
+      return TextResponse(501, "Not Implemented",
+                          "profiler unavailable in sanitizer builds\n");
+    }
+    if (draining_.load()) {
+      return TextResponse(503, "Service Unavailable", "draining\n");
+    }
+    if (profiler.running()) {
+      return TextResponse(409, "Conflict",
+                          "profile collection already in progress\n");
+    }
+    double seconds = ParamDouble(params, "seconds", 1.0);
+    if (!(seconds > 0.0)) seconds = 1.0;
+    if (seconds > kMaxProfileSeconds) seconds = kMaxProfileSeconds;
+    obs::ProfilerOptions popts;
+    const double hz = ParamDouble(params, "hz", popts.hz);
+    if (hz >= 1.0 && hz <= 1000.0) popts.hz = static_cast<int>(hz);
+    std::string error;
+    if (!profiler.Start(popts, &error)) {
+      return TextResponse(500, "Internal Server Error", error + "\n");
+    }
+    // The window ends on this timer, or earlier at drain step 1; the
+    // reply goes out then (FinishProfile).
+    profile_conn_ = conn_id;
+    profile_fold_ = params.count("fold") != 0 && params.at("fold") != "0";
+    loops_[0]->RunAfter(seconds, [this, conn_id] { FinishProfile(conn_id); });
+    return "";
+#endif  // CQABENCH_NO_OBS
   }
   if (target == "/debug/pprof/heap") {
     return TextResponse(200, "OK", obs::HeapProfileText());

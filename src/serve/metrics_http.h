@@ -1,5 +1,5 @@
-// serve/metrics_http — a deliberately tiny HTTP/1.1 listener serving
-// read-only operational endpoints next to the cqad frame protocol:
+// serve/metrics_http — the read-only HTTP/1.1 endpoints cqad serves on
+// its event loop 0 when ServerOptions::metrics_port is set:
 //   GET /metrics         — Prometheus text exposition of the registry
 //                          (obs/exposition), stock scrapers work as-is;
 //   GET /healthz         — "ok" 200 while serving, "draining" 503 once
@@ -17,94 +17,23 @@
 //                          and returns the partial profile with 200;
 //   GET /debug/pprof/heap    — allocator counter snapshot (mallinfo2);
 //   GET /debug/pprof/threads — live thread table + sampler stats.
-// It is NOT a general HTTP server: a handful of short-lived connections
-// (one thread each, hard cap, 503 when saturated), requests over 8 KiB
-// rejected, anything but GET answered 405, any other path 404. That
-// scope keeps the hand-rolled parser safe — it only ever inspects the
-// request line. Connections get a thread each (not a serial loop)
-// because a profile collection holds its connection open for seconds
-// and must not block scrapes or health probes.
+// It is NOT a general HTTP server: each connection carries one request
+// whose head is read up to 8 KiB, anything but GET is answered 405, any
+// other path 404, and only the request line is ever parsed (a profile
+// window is capped at 60 s). Every connection is a non-blocking
+// handler on loop 0 (CqadServer::HttpConn in metrics_http.cc): it reads
+// the request head, gets its answer, writes it as the socket accepts it
+// and closes. A profile holds its connection for the window without
+// holding the loop: a loop-0 timer stops the profiler and sends the
+// reply, so scrapes, probes and frames keep flowing meanwhile and no
+// request ever gets a thread.
 #ifndef CQABENCH_SERVE_METRICS_HTTP_H_
 #define CQABENCH_SERVE_METRICS_HTTP_H_
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
-#include <map>
-#include <string>
-#include <thread>
-#include <vector>
-
-#include "common/thread_annotations.h"
-
 namespace cqa::serve {
 
-struct MetricsHttpOptions {
-  /// Listen address; loopback by default like the frame listener.
-  std::string host = "127.0.0.1";
-  /// TCP port; 0 picks an ephemeral port (read it back via port()).
-  int port = 0;
-  /// Body provider for GET /metrics (normally RegistryPrometheusText).
-  std::function<std::string()> metrics_body;
-  /// Health probe for GET /healthz: true = 200 "ok", false = 503
-  /// "draining" (normally wired to !CqadServer::draining()). The
-  /// profile endpoint also polls it to cut a collection short when
-  /// drain begins mid-profile.
-  std::function<bool()> healthy;
-  /// Hard cap on concurrent connection threads; excess connections get
-  /// an immediate 503 "busy". One long profile + a scrape + a health
-  /// probe fit comfortably under the default.
-  int max_connections = 8;
-  /// Ceiling for /debug/pprof/profile?seconds=N.
-  double max_profile_seconds = 60.0;
-};
-
-/// One background accept thread; each accepted connection is served on
-/// its own short-lived thread (bounded by max_connections). Start()
-/// binds and spawns the acceptor; Stop() closes the listener, aborts
-/// any in-flight profile collection, and joins every thread.
-class MetricsHttpServer {
- public:
-  explicit MetricsHttpServer(const MetricsHttpOptions& options);
-  ~MetricsHttpServer();
-
-  MetricsHttpServer(const MetricsHttpServer&) = delete;
-  MetricsHttpServer& operator=(const MetricsHttpServer&) = delete;
-
-  bool Start(std::string* error);
-  void Stop();
-
-  /// The bound port (useful with options.port == 0).
-  int port() const { return port_; }
-
-  /// Renders the full HTTP response for one request line ("GET /metrics
-  /// HTTP/1.1"). Exposed for tests — routing without sockets. May block
-  /// for the requested duration on /debug/pprof/profile.
-  std::string HandleRequestLine(const std::string& request_line) const;
-
- private:
-  void Loop();
-  void ServeOne(int fd);
-  /// Joins finished connection threads (called from the accept loop
-  /// tick and from Stop).
-  void ReapConnections(bool all) CQA_EXCLUDES(conn_mu_);
-
-  std::string HandleProfile(
-      const std::map<std::string, std::string>& params) const;
-
-  const MetricsHttpOptions options_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-
-  mutable Mutex conn_mu_;
-  /// Live connection threads by id; ids move to done_ when the handler
-  /// finishes, and the accept loop joins + erases them on its next tick.
-  std::map<uint64_t, std::thread> conns_ CQA_GUARDED_BY(conn_mu_);
-  std::vector<uint64_t> done_ CQA_GUARDED_BY(conn_mu_);
-  uint64_t next_conn_id_ CQA_GUARDED_BY(conn_mu_) = 1;
-};
+/// A connection whose request head has not arrived by then is closed.
+inline constexpr double kHttpHeadTimeoutSeconds = 2.0;
 
 }  // namespace cqa::serve
 

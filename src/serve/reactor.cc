@@ -1,10 +1,10 @@
 #include "serve/reactor.h"
 
-#include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdint>
 #include <thread>
@@ -19,14 +19,6 @@ uint64_t CurrentThreadHash() {
 }
 
 }  // namespace
-
-int PollReadable(int fd, int timeout_ms) {
-  struct pollfd pfd;
-  pfd.fd = fd;
-  pfd.events = POLLIN;
-  pfd.revents = 0;
-  return ::poll(&pfd, 1, timeout_ms);
-}
 
 EventLoop::EventLoop(std::string name) : name_(std::move(name)) {
   epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
@@ -51,7 +43,8 @@ void EventLoop::Run() {
   constexpr int kMaxEvents = 128;
   struct epoll_event events[kMaxEvents];
   while (true) {
-    const int n = ::epoll_wait(epoll_fd_, events, kMaxEvents, -1);
+    const int n =
+        ::epoll_wait(epoll_fd_, events, kMaxEvents, NextTimeoutMs());
     if (n < 0) {
       if (errno == EINTR) continue;
       break;  // Unrecoverable epoll failure; loop dies quietly.
@@ -73,6 +66,7 @@ void EventLoop::Run() {
     FlushGraveyard();
     if (woken) DrainWake();
     RunMailbox();
+    RunDueTimers();
     if (stop_.load(std::memory_order_acquire)) {
       RunMailbox();  // Stop raced with a final Post; drain once more.
       break;
@@ -96,6 +90,14 @@ void EventLoop::Post(std::function<void()> fn) {
   }
   const uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(wake_fd_, &one, sizeof(one));
+}
+
+void EventLoop::RunAfter(double seconds, std::function<void()> fn) {
+  const auto delay = std::chrono::duration_cast<Clock::duration>(
+      std::chrono::duration<double>(std::max(seconds, 0.0)));
+  timers_.push_back(Timer{Clock::now() + delay, next_timer_seq_++,
+                          std::move(fn)});
+  std::push_heap(timers_.begin(), timers_.end(), std::greater<Timer>());
 }
 
 bool EventLoop::Add(int fd, uint32_t events, EpollHandler* handler) {
@@ -140,6 +142,30 @@ void EventLoop::RunMailbox() {
     batch.swap(mailbox_);
   }
   for (std::function<void()>& fn : batch) fn();
+  if (!dispatching_) FlushGraveyard();
+}
+
+int EventLoop::NextTimeoutMs() const {
+  if (timers_.empty()) return -1;
+  const auto wait = timers_.front().deadline - Clock::now();
+  if (wait <= Clock::duration::zero()) return 0;
+  // Round up so the loop never wakes just before a deadline and spins.
+  const int64_t ms =
+      std::chrono::ceil<std::chrono::milliseconds>(wait).count();
+  return static_cast<int>(std::min<int64_t>(ms, INT32_MAX));
+}
+
+void EventLoop::RunDueTimers() {
+  // Collect first: a timer body may arm new timers, which then wait for
+  // the next wakeup even when already due.
+  const Clock::time_point now = Clock::now();
+  std::vector<std::function<void()>> due;
+  while (!timers_.empty() && timers_.front().deadline <= now) {
+    std::pop_heap(timers_.begin(), timers_.end(), std::greater<Timer>());
+    due.push_back(std::move(timers_.back().fn));
+    timers_.pop_back();
+  }
+  for (std::function<void()>& fn : due) fn();
   if (!dispatching_) FlushGraveyard();
 }
 

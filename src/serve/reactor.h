@@ -15,6 +15,7 @@
 #define CQABENCH_SERVE_REACTOR_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -24,12 +25,6 @@
 #include "common/thread_annotations.h"
 
 namespace cqa::serve {
-
-/// Blocks until fd is readable (POLLIN) or timeout_ms elapses. Returns
-/// poll()'s contract: > 0 readable, 0 timed out, < 0 error. Exists so
-/// modules outside the reactor (the metrics sidecar's accept/read
-/// ticks) never touch poll() directly.
-int PollReadable(int fd, int timeout_ms);
 
 /// Per-fd event callback, invoked on the owning loop's thread.
 class EpollHandler {
@@ -66,6 +61,14 @@ class EventLoop {
   /// returns; closures posted after Run() returned run in ~EventLoop.
   void Post(std::function<void()> fn) CQA_EXCLUDES(mailbox_mu_);
 
+  /// Runs fn on the loop thread once `seconds` have passed. Timers fire
+  /// in deadline order (ties in arming order), after the event batch and
+  /// mailbox of the same wakeup. A timer that must not outlive an object
+  /// looks the object up when it fires (nothing cancels it). Timers still
+  /// pending when Run() returns never run; their closures are destroyed
+  /// with the loop. Loop thread or pre-Run setup.
+  void RunAfter(double seconds, std::function<void()> fn);
+
   /// Registers fd with the given epoll event mask (caller includes
   /// EPOLLET for edge-triggered handlers); events route to *handler.
   /// Loop thread or pre-Run setup. Returns false on epoll_ctl failure.
@@ -84,9 +87,23 @@ class EventLoop {
   bool InLoopThread() const;
 
  private:
+  using Clock = std::chrono::steady_clock;
+  struct Timer {
+    Clock::time_point deadline;
+    uint64_t seq;  // Arming order breaks deadline ties.
+    std::function<void()> fn;
+    bool operator>(const Timer& other) const {
+      return deadline != other.deadline ? deadline > other.deadline
+                                        : seq > other.seq;
+    }
+  };
+
   void DrainWake();
   void RunMailbox() CQA_EXCLUDES(mailbox_mu_);
   void FlushGraveyard();
+  /// epoll_wait timeout: -1 without timers, else ms to the next deadline.
+  int NextTimeoutMs() const;
+  void RunDueTimers();
 
   const std::string name_;
   int epoll_fd_ = -1;
@@ -97,10 +114,12 @@ class EventLoop {
   cqa::Mutex mailbox_mu_;
   std::vector<std::function<void()>> mailbox_ CQA_GUARDED_BY(mailbox_mu_);
 
-  // Loop-thread-only dispatch-batch state (no lock by construction).
+  // Loop-thread-only state (no lock by construction).
   bool dispatching_ = false;
   std::unordered_set<EpollHandler*> dead_;
   std::vector<EpollHandler*> graveyard_;
+  std::vector<Timer> timers_;  // Min-heap on (deadline, seq).
+  uint64_t next_timer_seq_ = 0;
 };
 
 }  // namespace cqa::serve

@@ -2,7 +2,6 @@
 
 #include <arpa/inet.h>
 #include <csignal>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -30,18 +29,52 @@ std::atomic<bool> g_terminate{false};
 
 void HandleTerminate(int /*signum*/) { g_terminate.store(true); }
 
-// How often the signal watcher and the drain grace loop re-check their
-// flags. Connection I/O itself is purely event-driven (no ticks).
-constexpr long kWatchTickNs = 10 * 1000 * 1000;  // 10ms.
+// How often loop 0 checks the signal flag and the drain grace loop
+// re-checks its count. Connection I/O itself is purely event-driven.
+constexpr double kWatchTickSeconds = 0.01;
 
 void SleepTick() {
-  struct timespec ts = {0, kWatchTickNs};
+  struct timespec ts = {0, static_cast<long>(kWatchTickSeconds * 1e9)};
   ::nanosleep(&ts, nullptr);
 }
 
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
+// A non-blocking listening socket bound to host:port (0 = ephemeral);
+// stores the bound port. -1 with *error on failure.
+int ListenTcp(const std::string& host, int port, int* bound_port,
+              std::string* error) {
+  if (port < 0 || port > 65535) {
+    *error = "port out of range: " + std::to_string(port);
+    return -1;
+  }
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+    *error = "invalid listen address: " + host;
+    return -1;
+  }
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (fd < 0) {
+    *error = std::string("socket: ") + std::strerror(errno);
+    return -1;
+  }
+  const int one = 1;
+  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    *error = "bind " + host + ":" + std::to_string(port) + ": " +
+             std::strerror(errno);
+  } else if (::listen(fd, 1024) != 0) {
+    *error = std::string("listen: ") + std::strerror(errno);
+  } else {
+    socklen_t len = sizeof(addr);
+    ::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len);
+    *bound_port = ntohs(addr.sin_port);
+    return fd;
+  }
+  ::close(fd);
+  return -1;
 }
 
 // One best-effort non-blocking send for connections rejected before
@@ -281,14 +314,16 @@ class CqadServer::Conn : public EpollHandler {
   bool closed_ = false;
 };
 
-// Accept handler: loop 0 owns the listening socket.
+// Accept handler: loop 0 owns both listening sockets.
 class CqadServer::Listener : public EpollHandler {
  public:
-  explicit Listener(CqadServer* server) : server_(server) {}
-  void OnEvents(uint32_t /*events*/) override { server_->AcceptReady(); }
+  Listener(CqadServer* server, void (CqadServer::*accept)())
+      : server_(server), accept_(accept) {}
+  void OnEvents(uint32_t /*events*/) override { (server_->*accept_)(); }
 
  private:
   CqadServer* const server_;
+  void (CqadServer::*const accept_)();
 };
 
 CqadServer::CqadServer(const ServerOptions& options)
@@ -306,6 +341,7 @@ CqadServer::~CqadServer() {
     Wait();
   }
   if (listen_fd_ >= 0) ::close(listen_fd_);
+  if (http_fd_ >= 0) ::close(http_fd_);
 }
 
 void CqadServer::InstallSignalHandlers() {
@@ -324,70 +360,36 @@ bool CqadServer::Start(std::string* error) {
     *error = "workers must be at least 1";
     return false;
   }
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    *error = std::string("socket: ") + std::strerror(errno);
-    return false;
+  // A failed Start leaves the fds to the destructor.
+  listen_fd_ = ListenTcp(options_.host, options_.port, &port_, error);
+  if (listen_fd_ < 0) return false;
+  if (options_.metrics_port >= 0) {
+    http_fd_ = ListenTcp(options_.host, options_.metrics_port,
+                         &metrics_port_, error);
+    if (http_fd_ < 0) {
+      *error = "metrics " + *error;
+      return false;
+    }
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(options_.port));
-  if (::inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1) {
-    *error = "invalid listen address: " + options_.host;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    *error = "bind " + options_.host + ":" +
-             std::to_string(options_.port) + ": " + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (::listen(listen_fd_, 1024) != 0) {
-    *error = std::string("listen: ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  if (!SetNonBlocking(listen_fd_)) {
-    *error = std::string("fcntl(listen): ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  sockaddr_in bound;
-  socklen_t bound_len = sizeof(bound);
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                &bound_len);
-  port_ = ntohs(bound.sin_port);
 
   conns_.resize(options_.workers);
   for (size_t i = 0; i < options_.workers; ++i) {
     auto loop = std::make_unique<EventLoop>("loop-" + std::to_string(i));
     if (!loop->ok()) {
       *error = "epoll setup failed for event loop " + std::to_string(i);
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      loops_.clear();
       return false;
     }
     loops_.push_back(std::move(loop));
   }
-  listener_ = std::make_unique<Listener>(this);
-  if (!loops_[0]->Add(listen_fd_, EPOLLIN | EPOLLET, listener_.get())) {
+  listener_ = std::make_unique<Listener>(this, &CqadServer::AcceptReady);
+  http_listener_ = std::make_unique<Listener>(this, &CqadServer::AcceptHttp);
+  if (!loops_[0]->Add(listen_fd_, EPOLLIN | EPOLLET, listener_.get()) ||
+      (http_fd_ >= 0 &&
+       !loops_[0]->Add(http_fd_, EPOLLIN | EPOLLET, http_listener_.get()))) {
     *error = std::string("epoll_ctl(listen): ") + std::strerror(errno);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    loops_.clear();
     return false;
   }
+  WatchSignals();
 
   for (auto& loop : loops_) {
     EventLoop* raw = loop.get();
@@ -400,18 +402,15 @@ bool CqadServer::Start(std::string* error) {
     pool.EnsureWorkers(executors_);
     pool.Run(executors_, [this](size_t) { admission_.RunExecutor(); });
   });
-  signal_watcher_ = std::thread([this] {
-    while (!stopping_.load()) {
-      if (g_terminate.load()) {
-        RequestDrain();
-        return;
-      }
-      SleepTick();
-    }
-  });
   drainer_ = std::thread([this] { DrainSequence(); });
   started_ = true;
   return true;
+}
+
+void CqadServer::WatchSignals() {
+  if (g_terminate.load()) RequestDrain();
+  if (draining_.load()) return;
+  loops_[0]->RunAfter(kWatchTickSeconds, [this] { WatchSignals(); });
 }
 
 void CqadServer::RequestDrain() {
@@ -429,7 +428,6 @@ void CqadServer::Wait() {
   for (std::thread& t : loop_threads_) {
     if (t.joinable()) t.join();
   }
-  if (signal_watcher_.joinable()) signal_watcher_.join();
   started_ = false;
 }
 
@@ -636,13 +634,16 @@ void CqadServer::DrainSequence() {
   }
   // Drain step 1: stop accepting. shutdown() empties and closes the
   // listen queue at the TCP layer; the fd itself is closed on loop 0 so
-  // it cannot race an in-flight accept with a recycled descriptor.
+  // it cannot race an in-flight accept with a recycled descriptor. A
+  // running profile ends now with what it caught (a partial 200); the
+  // HTTP listener itself keeps answering until the loops stop.
   ::shutdown(listen_fd_, SHUT_RDWR);
   loops_[0]->Post([this] {
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);  // epoll forgets closed fds automatically.
       listen_fd_ = -1;
     }
+    FinishProfile(profile_conn_);
   });
   // Drain step 2: flush queued work with kDraining, finish in-flight
   // executions, and deliver every pending response.
@@ -660,9 +661,10 @@ void CqadServer::DrainSequence() {
     });
   }
   // Drain step 3: give pending flushes drain_timeout_s, then force.
+  // HTTP connections close with the loops, inside the same bound.
   ForceCloseStragglers();
+  loops_[0]->Post([this] { CloseHttp(); });
   for (auto& loop : loops_) loop->Stop();
-  stopping_.store(true);
 }
 
 void CqadServer::ForceCloseStragglers() {

@@ -7,7 +7,9 @@
 // client-assigned `id` and possibly delivered out of order. Query
 // execution never runs on an event loop: parsed requests go through the
 // bounded AdmissionQueue to executor loops parked on the process-wide
-// ThreadPool. A SIGTERM/RequestDrain() triggers the graceful drain
+// ThreadPool. With ServerOptions::metrics_port set, loop 0 also serves
+// the read-only HTTP endpoints of serve/metrics_http.h on a second
+// listening socket. A SIGTERM/RequestDrain() triggers the graceful drain
 // documented in DESIGN.md §9: stop accepting, flush queued work with
 // kDraining, finish in-flight requests, force-close stragglers after a
 // timeout.
@@ -38,6 +40,10 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// TCP port; 0 picks an ephemeral port (read it back via port()).
   int port = 0;
+  /// Port of the HTTP endpoints (/metrics, /healthz, /debug/pprof/*),
+  /// served on loop 0 at `host`; 0 picks an ephemeral port (read it back
+  /// via metrics_port()). Negative serves no HTTP.
+  int metrics_port = -1;
   /// Event-loop threads, at least 1 (Start refuses 0). Each loop
   /// multiplexes an unbounded share of the open connections; loops never
   /// block on query execution.
@@ -68,8 +74,9 @@ struct ServerOptions {
 ///
 /// Thread model: `workers` event-loop threads (epoll, edge-triggered),
 /// `max_inflight` executor loops parked on ThreadPool::Shared() via one
-/// host thread, a signal-watcher thread, and a drainer thread that runs
-/// the three-step shutdown. Connection state is confined to its owning
+/// host thread, and a drainer thread that runs the three-step shutdown.
+/// Loop 0 also owns both listeners, every HTTP connection, and the
+/// signal check (a timer). Connection state is confined to its owning
 /// loop thread; cross-thread work enters a loop only via Post().
 class CqadServer {
  public:
@@ -86,6 +93,9 @@ class CqadServer {
   /// The bound port (useful with options.port == 0).
   int port() const { return port_; }
 
+  /// The bound HTTP port; -1 when options.metrics_port is negative.
+  int metrics_port() const { return metrics_port_; }
+
   /// Initiates graceful drain: stop accepting, shed queued work with
   /// kDraining, let in-flight requests finish. Idempotent, non-blocking.
   /// Also triggered by SIGTERM/SIGINT after InstallSignalHandlers().
@@ -99,8 +109,8 @@ class CqadServer {
   CqaEngine& engine() { return engine_; }
 
   /// Registers a process-wide SIGTERM/SIGINT handler that flips an
-  /// async-signal-safe flag; the signal watcher notices it within a few
-  /// milliseconds and begins draining.
+  /// async-signal-safe flag; a 10 ms timer on loop 0 notices it and
+  /// begins draining.
   static void InstallSignalHandlers();
 
   /// The server-state JSON object served by op == "stats" (connections,
@@ -109,12 +119,14 @@ class CqadServer {
 
  private:
   class Conn;      // Per-connection state machine (loop-thread-only).
+  class HttpConn;  // One HTTP request/response (loop 0, metrics_http.cc).
   class Listener;  // Accept handler on loop 0.
-  friend class Conn;
-  friend class Listener;
 
   /// Accepts until EAGAIN; runs on loop 0.
   void AcceptReady();
+  /// Re-arms itself every 10 ms on loop 0 until the SIGTERM/SIGINT flag
+  /// is seen or drain begins.
+  void WatchSignals();
   /// Registers an accepted fd with its owning loop (posted there).
   void AdoptConnection(size_t loop_index, int fd);
   /// Handles one decoded frame payload from a connection. Runs on the
@@ -138,6 +150,18 @@ class CqadServer {
   /// After drain_timeout_s, force-close connections still open.
   void ForceCloseStragglers();
 
+  // The HTTP endpoints (metrics_http.cc); every one runs on loop 0.
+  /// Accepts HTTP connections until EAGAIN.
+  void AcceptHttp();
+  /// The response to one request line, or "" when it comes later (a
+  /// profile, answered by FinishProfile).
+  std::string RouteHttp(uint64_t conn_id, const std::string& request_line);
+  /// Stops the collection `conn_id` started and sends its profile there,
+  /// if that peer is still connected. No-op once that collection ended.
+  void FinishProfile(uint64_t conn_id);
+  /// Closes the HTTP listener and every HTTP connection.
+  void CloseHttp();
+
   const ServerOptions options_;
   const size_t executors_;  // Effective max_inflight.
   CqaEngine engine_;
@@ -145,17 +169,18 @@ class CqadServer {
 
   int listen_fd_ = -1;
   int port_ = 0;
+  int http_fd_ = -1;
+  int metrics_port_ = -1;
   bool started_ = false;
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::vector<std::thread> loop_threads_;
   std::thread executor_host_;  // Parks executor loops on the ThreadPool.
-  std::thread signal_watcher_;
   std::thread drainer_;
   std::unique_ptr<Listener> listener_;
+  std::unique_ptr<Listener> http_listener_;
 
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};  // Flips when drain completes.
   cqa::Mutex drain_mu_;
   cqa::CondVar drain_cv_;  // Wakes the drainer thread.
   bool drain_requested_ CQA_GUARDED_BY(drain_mu_) = false;
@@ -164,6 +189,12 @@ class CqadServer {
   // to its loop's thread (created, read, and erased there only), so no
   // lock guards it — the confinement is the synchronization.
   std::vector<std::unordered_map<uint64_t, Conn*>> conns_;
+
+  // Live HTTP connections by id, and the connection whose profile is
+  // being collected (0 = none). Confined to loop 0 like conns_[0].
+  std::unordered_map<uint64_t, HttpConn*> http_conns_;
+  uint64_t profile_conn_ = 0;
+  bool profile_fold_ = false;
 
   // Round-robin accept distribution (only touched on loop 0).
   size_t next_loop_ = 0;

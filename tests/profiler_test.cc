@@ -335,48 +335,6 @@ TEST(ProfilerTest, PprofProfileDecodes) {
   EXPECT_EQ(unzipped, proto);
 }
 
-TEST(ProfilerTest, CollectForRejectsConcurrentCollections) {
-  SKIP_WITHOUT_PROFILER();
-  Profiler& profiler = Profiler::Instance();
-  ProfilerOptions options;
-  options.hz = 99;
-  std::thread collector([&profiler, options] {
-    std::string error;
-    const auto result = profiler.CollectFor(
-        0.8, options, [] { return true; }, &error);
-    EXPECT_EQ(result, Profiler::CollectResult::kOk) << error;
-  });
-  // Give the first collection time to begin, then collide with it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(250));
-  std::string error;
-  const auto result = profiler.CollectFor(
-      0.1, options, [] { return true; }, &error);
-  EXPECT_EQ(result, Profiler::CollectResult::kBusy);
-  EXPECT_NE(error.find("in progress"), std::string::npos);
-  collector.join();
-}
-
-TEST(ProfilerTest, CollectForAbortsWhenKeepGoingTurnsFalse) {
-  SKIP_WITHOUT_PROFILER();
-  Profiler& profiler = Profiler::Instance();
-  ProfilerOptions options;
-  options.hz = 99;
-  std::string error;
-  const auto start = std::chrono::steady_clock::now();
-  const auto result = profiler.CollectFor(
-      30.0, options,
-      [&start] {
-        return std::chrono::steady_clock::now() - start <
-               std::chrono::milliseconds(200);
-      },
-      &error);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  EXPECT_EQ(result, Profiler::CollectResult::kOk) << error;
-  EXPECT_LT(elapsed, 5.0) << "keep_going=false must cut the window short";
-}
-
 TEST(ProfilerTest, PublishesRegistryMetrics) {
   SKIP_WITHOUT_PROFILER();
   Registry& registry = Registry::Instance();

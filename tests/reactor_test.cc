@@ -1,6 +1,6 @@
 // Reactor-layer unit tests: EventLoop (edge-triggered epoll + mailbox,
-// deferred handler deletion) and PollReadable. The e2e tier exercises
-// them through a live cqad; these tests pin the contracts in isolation.
+// deferred handler deletion, timers). The e2e tier exercises it through
+// a live cqad; these tests pin the contracts in isolation.
 
 #include <fcntl.h>
 #include <gtest/gtest.h>
@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,20 +18,6 @@
 
 namespace cqa::serve {
 namespace {
-
-// ---------------------------------------------------------------------------
-// PollReadable
-// ---------------------------------------------------------------------------
-
-TEST(PollReadableTest, ReportsReadinessAndTimeout) {
-  int fds[2];
-  ASSERT_EQ(::pipe(fds), 0);
-  EXPECT_EQ(PollReadable(fds[0], 0), 0);  // Nothing buffered: timeout.
-  ASSERT_EQ(::write(fds[1], "x", 1), 1);
-  EXPECT_GT(PollReadable(fds[0], 1000), 0);
-  ::close(fds[0]);
-  ::close(fds[1]);
-}
 
 // ---------------------------------------------------------------------------
 // EventLoop
@@ -178,6 +165,84 @@ TEST(EventLoopTest, StopWithPendingPostsStillRunsThem) {
   // Posts enqueued before Stop() are drained by the final mailbox runs
   // (in Run's stop path or the destructor).
   EXPECT_EQ(ran.load(), 8);
+}
+
+// ---------------------------------------------------------------------------
+// Timers
+// ---------------------------------------------------------------------------
+
+// Armed out of order before Run (pre-Run setup is allowed): they fire on
+// the loop thread, by deadline, with equal deadlines in arming order.
+TEST(EventLoopTimerTest, RunAfterFiresOnLoopThreadInDeadlineOrder) {
+  EventLoop loop("timer-loop");
+  ASSERT_TRUE(loop.ok());
+  std::vector<int> order;  // Loop-thread confined: no lock needed.
+  std::atomic<int> fired{0};
+  std::atomic<int> off_loop{0};
+  const auto arm = [&](double seconds, int tag) {
+    loop.RunAfter(seconds, [&, tag] {
+      if (!loop.InLoopThread()) off_loop.fetch_add(1);
+      order.push_back(tag);
+      fired.fetch_add(1);
+    });
+  };
+  const Stopwatch watch;
+  arm(0.15, 3);
+  arm(0.05, 1);
+  arm(0.10, 2);
+  arm(0.15, 4);  // Armed after tag 3 with the same delay: fires after it.
+  arm(0.0, 0);
+  std::thread t([&] { loop.Run(); });
+  const Deadline deadline(5.0);
+  while (fired.load() < 5 && !deadline.Expired()) {
+  }
+  const double elapsed = watch.ElapsedSeconds();
+  loop.Stop();
+  t.join();
+  ASSERT_EQ(order.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(off_loop.load(), 0);
+  EXPECT_GE(elapsed, 0.15) << "a timer fired before its deadline";
+}
+
+TEST_F(LoopFixture, TimerArmedFromPostedClosureFires) {
+  std::atomic<bool> fired{false};
+  std::atomic<bool> on_loop_thread{false};
+  const Stopwatch watch;
+  loop_.Post([&] {
+    loop_.RunAfter(0.05, [&] {
+      on_loop_thread.store(loop_.InLoopThread());
+      fired.store(true);
+    });
+  });
+  const Deadline deadline(5.0);
+  while (!fired.load() && !deadline.Expired()) {
+  }
+  EXPECT_TRUE(fired.load());
+  EXPECT_TRUE(on_loop_thread.load());
+  EXPECT_GE(watch.ElapsedSeconds(), 0.05);
+}
+
+// The documented Stop contract: a timer still pending when Run()
+// returns never runs, and its closure (with whatever it captured) is
+// destroyed with the loop — nothing leaks.
+TEST(EventLoopTimerTest, TimersPendingAtStopNeverRunAndAreDestroyed) {
+  auto captured = std::make_shared<int>(7);
+  std::weak_ptr<int> watch = captured;
+  std::atomic<bool> ran{false};
+  {
+    EventLoop loop("stop-timer-loop");
+    ASSERT_TRUE(loop.ok());
+    loop.RunAfter(30.0, [&ran, captured] { ran.store(true); });
+    captured.reset();
+    std::thread t([&] { loop.Run(); });
+    loop.Stop();
+    t.join();
+    EXPECT_FALSE(ran.load());
+    EXPECT_FALSE(watch.expired()) << "the loop still owns the closure";
+  }
+  EXPECT_FALSE(ran.load());
+  EXPECT_TRUE(watch.expired()) << "~EventLoop destroys pending timers";
 }
 
 }  // namespace

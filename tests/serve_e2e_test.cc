@@ -11,16 +11,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "cqa/apx_cqa.h"
-#include "gen/noise.h"
 #include "gen/tpch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -28,21 +29,21 @@
 #include "serve/access_log.h"
 #include "serve/client.h"
 #include "serve/json.h"
-#include "serve/metrics_http.h"
 #include "serve/server.h"
 #include "obs/exposition.h"
 #ifndef CQABENCH_NO_OBS
 #include "obs/profiler.h"
 #endif
+#include "serve_test_util.h"
 #include "storage/tbl_io.h"
 #include "storage/tuple.h"
 
 namespace cqa::serve {
 namespace {
 
-constexpr const char* kQuery =
-    "Q(NN) :- customer(CK, CN, CA, NK, CP, CB, CS, CC), "
-    "nation(NK, NN, RK, NC).";
+using testing::HttpGet;
+
+constexpr const char* kQuery = testing::kNationQuery;
 const char* const kSchemes[] = {"Natural", "KL", "KLM", "Cover"};
 
 /// Shared on-disk dataset: a small noisy TPC-H instance, generated once
@@ -50,24 +51,15 @@ const char* const kSchemes[] = {"Natural", "KL", "KLM", "Cover"};
 class ServeE2eTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new std::filesystem::path(
-        std::filesystem::temp_directory_path() /
-        ("cqa_serve_e2e_" + std::to_string(::getpid())));
-    std::filesystem::create_directories(*dir_);
-    Dataset d = GenerateTpch(TpchOptions{0.0003, 17});
-    ConjunctiveQuery q = MustParseCq(*d.schema, kQuery);
-    NoiseOptions noise;
-    noise.p = 0.5;
-    Rng rng(99);
-    AddQueryAwareNoise(d.db.get(), q, noise, rng);
-    std::string error;
-    ASSERT_TRUE(WriteTblDirectory(*d.db, dir_->string(), &error)) << error;
+    data_ = new testing::NoisyTpchDir("serve_e2e");
+    dir_ = new std::filesystem::path(data_->path());
   }
 
   static void TearDownTestSuite() {
-    std::filesystem::remove_all(*dir_);
     delete dir_;
     dir_ = nullptr;
+    delete data_;
+    data_ = nullptr;
   }
 
   static Request MakeQueryRequest(const std::string& scheme,
@@ -102,9 +94,11 @@ class ServeE2eTest : public ::testing::Test {
     return out;
   }
 
+  static testing::NoisyTpchDir* data_;
   static std::filesystem::path* dir_;
 };
 
+testing::NoisyTpchDir* ServeE2eTest::data_ = nullptr;
 std::filesystem::path* ServeE2eTest::dir_ = nullptr;
 
 TEST_F(ServeE2eTest, ConcurrentMixedSchemeWavesMatchLocalRunsAndCache) {
@@ -405,6 +399,21 @@ TEST_F(ServeE2eTest, ZeroWorkersIsRefusedAtStart) {
   EXPECT_EQ(error, "workers must be at least 1");
 }
 
+// htons would wrap a port outside 0-65535 (-5 becomes 65531); Start
+// refuses it for either listener instead of binding somewhere else.
+TEST_F(ServeE2eTest, OutOfRangePortsAreRefusedAtStart) {
+  const std::pair<int, int> cases[] = {{-5, -1}, {65536, -1}, {0, 70000}};
+  for (const auto& [port, metrics_port] : cases) {
+    ServerOptions options;
+    options.port = port;
+    options.metrics_port = metrics_port;
+    CqadServer server(options);
+    std::string error;
+    EXPECT_FALSE(server.Start(&error)) << port << " " << metrics_port;
+    EXPECT_NE(error.find("port out of range"), std::string::npos) << error;
+  }
+}
+
 TEST_F(ServeE2eTest, GracefulDrainCompletesInflightAndRefusesNew) {
   CqadServer server(ServerOptions{});
   std::string error;
@@ -435,44 +444,19 @@ TEST_F(ServeE2eTest, GracefulDrainCompletesInflightAndRefusesNew) {
   EXPECT_FALSE(late.Connect("127.0.0.1", port, &late_error));
 }
 
-// Raw-socket GET against the metrics sidecar (the frame-protocol
-// CqaClient can't speak HTTP).
-std::string SidecarGet(int port, const std::string& target) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string request = "GET " + target + " HTTP/1.1\r\nHost: x\r\n\r\n";
-  (void)::send(fd, request.data(), request.size(), 0);
-  std::string response;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0) {
-    response.append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return response;
-}
-
-// The deployment wiring cqad uses — metrics sidecar health probe bound
-// to !server.draining() — under a drain that begins while a profile
-// collection and a scrape are in flight: the scrape answers during
-// drain, /healthz flips to 503, and the collection is cut short with a
-// partial 200 instead of pinning the shutdown for its full window.
+// The deployment wiring cqad uses — HTTP endpoints on loop 0 of the
+// serving CqadServer — under a drain
+// that begins while a profile collection and a scrape are in flight: the
+// scrape answers during drain, /healthz flips to 503, and the collection
+// is cut short with a partial 200 instead of pinning the shutdown for
+// its full window.
 TEST_F(ServeE2eTest, MetricsSidecarSurvivesDrainAndAbortsProfile) {
-  CqadServer server(ServerOptions{});
+  ServerOptions options;
+  options.metrics_port = 0;
+  CqadServer server(options);
   std::string error;
   ASSERT_TRUE(server.Start(&error)) << error;
-  serve::MetricsHttpServer sidecar(serve::MetricsHttpOptions{
-      "127.0.0.1", 0, [] { return obs::RegistryPrometheusText(); },
-      [&server] { return !server.draining(); }});
-  ASSERT_TRUE(sidecar.Start(&error)) << error;
+  const int metrics_port = server.metrics_port();
 
   // Real traffic so the registry has serving metrics to scrape.
   CqaClient client;
@@ -482,7 +466,7 @@ TEST_F(ServeE2eTest, MetricsSidecarSurvivesDrainAndAbortsProfile) {
       << error;
   ASSERT_TRUE(response.ok()) << response.error;
 
-  EXPECT_NE(SidecarGet(sidecar.port(), "/healthz").find("200 OK"),
+  EXPECT_NE(HttpGet(metrics_port, "/healthz").find("200 OK"),
             std::string::npos);
 
 #ifndef CQABENCH_NO_OBS
@@ -493,31 +477,37 @@ TEST_F(ServeE2eTest, MetricsSidecarSurvivesDrainAndAbortsProfile) {
   std::string profile;
   std::thread collector;
   if (profiler_usable) {
-    collector = std::thread([&profile, &sidecar] {
-      profile = SidecarGet(sidecar.port(), "/debug/pprof/profile?seconds=30");
+    collector = std::thread([&profile, metrics_port] {
+      profile = HttpGet(metrics_port, "/debug/pprof/profile?seconds=30");
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(300));
   }
 
+  // A query running to its deadline keeps the drain (and with it the
+  // HTTP listener) open while the probes below race it.
+  std::thread holder = testing::HoldDrainOpen(server.port(), dir_->string(),
+                                              1.5);
   const auto drain_start = std::chrono::steady_clock::now();
   server.RequestDrain();
   // Racing the drain: the exposition must keep answering so the last
   // scrape of a shutting-down process isn't lost.
-  const std::string scrape = SidecarGet(sidecar.port(), "/metrics");
+  const std::string scrape = HttpGet(metrics_port, "/metrics");
   EXPECT_NE(scrape.find("200 OK"), std::string::npos);
   // Gauges are live in every build mode (counters compile out under
   // CQABENCH_NO_OBS), so assert on one the accept loop always sets.
   EXPECT_NE(scrape.find("cqa_serve_connections_open"), std::string::npos)
       << scrape.substr(0, 400);
-  EXPECT_NE(SidecarGet(sidecar.port(), "/healthz").find("503"),
+  EXPECT_NE(HttpGet(metrics_port, "/healthz").find("503"),
             std::string::npos);
   server.Wait();
+  holder.join();
   if (collector.joinable()) collector.join();
   const double drain_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     drain_start)
           .count();
-  sidecar.Stop();
+  // The listener closed with the drain.
+  EXPECT_EQ(HttpGet(metrics_port, "/healthz"), "");
 
   if (profiler_usable) {
     EXPECT_NE(profile.find("200 OK"), std::string::npos)
@@ -525,6 +515,58 @@ TEST_F(ServeE2eTest, MetricsSidecarSurvivesDrainAndAbortsProfile) {
     EXPECT_LT(drain_seconds, 10.0)
         << "a 30s profile window must not pin the drain";
   }
+}
+
+// A profile window holds its HTTP connection, not loop 0: with one
+// event loop serving frames and HTTP alike, queries keep completing
+// while a 2 s collection is open, each far faster than the window.
+TEST_F(ServeE2eTest, FramesFlowDuringProfile) {
+#ifndef CQABENCH_NO_OBS
+  if (!obs::Profiler::kAvailable) {
+    GTEST_SKIP() << "sanitizer build: the profile endpoint answers 501";
+  }
+#else
+  GTEST_SKIP() << "profiler compiled out (CQABENCH_NO_OBS)";
+#endif
+  ServerOptions options;
+  options.workers = 1;
+  options.metrics_port = 0;
+  CqadServer server(options);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  CqaClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port(), &error)) << error;
+  Response response;
+  ASSERT_TRUE(client.Call(MakeQueryRequest("KLM", 1), &response, &error))
+      << error;  // Warm the synopsis cache before the window opens.
+
+  const auto window_start = std::chrono::steady_clock::now();
+  std::string profile;
+  std::thread collector([&profile, &server] {
+    profile = HttpGet(server.metrics_port(), "/debug/pprof/profile?seconds=2");
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  int completed = 0;
+  double slowest = 0.0;
+  while (std::chrono::steady_clock::now() - window_start <
+         std::chrono::milliseconds(1500)) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.Call(MakeQueryRequest(kSchemes[completed % 4], 2),
+                            &response, &error))
+        << error;
+    ASSERT_TRUE(response.ok()) << response.error;
+    slowest = std::max(
+        slowest, std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+    ++completed;
+  }
+  collector.join();
+  EXPECT_NE(profile.find("200 OK"), std::string::npos) << profile;
+  EXPECT_GE(completed, 5);
+  EXPECT_LT(slowest, 0.5) << "a query waited on the profile window";
+  server.RequestDrain();
+  server.Wait();
 }
 
 // The tentpole round trip: a client-supplied trace id flows through

@@ -42,13 +42,14 @@ Fast, dependency-free checks that encode conventions the compiler cannot:
      std::lock_guard/std::unique_lock use outside that header is
      rejected.  Naked std::thread construction is confined to the pool
      (src/common/thread_pool.cc), the daemon's event loops, executor
-     host, signal watcher and drainer (src/serve/server.cc), and the
-     metrics listener (src/serve/metrics_http.cc).
+     host and drainer (src/serve/server.cc), the profiler's aggregator
+     and the resource sampler.  cqad's HTTP endpoints and its signal
+     check run on event loop 0, so no request gets a thread.
  10. Event-demultiplexing discipline: raw epoll_*/poll/ppoll calls are
      confined to src/serve/reactor.* (the event-loop single owner).
-     Everyone else goes through reactor's EventLoop/PollReadable so fd
-     readiness has one implementation to audit for edge-trigger and
-     EINTR handling.
+     Everyone else goes through reactor's EventLoop (handlers, Post,
+     RunAfter timers) so fd readiness has one implementation to audit
+     for edge-trigger and EINTR handling.
  11. Shared block index: non-test source (src/, bench/, examples/,
      serve/) outside src/storage/ never calls BlockIndex::Build( -- it
      reads the database's one lazily built index through
@@ -367,12 +368,8 @@ THREAD_CTOR_ALLOWED = {
     # The shared worker pool: the one sanctioned thread factory.
     "src/common/thread_pool.cc",
     # cqad's event-loop threads, the host thread that parks the executor
-    # loops on the pool, the signal watcher, and the drainer.
+    # loops on the pool, and the drainer.
     "src/serve/server.cc",
-    # The /metrics HTTP listener: acceptor + per-connection threads (a
-    # profile collection holds its connection for seconds and must not
-    # block scrapes or health probes).
-    "src/serve/metrics_http.cc",
     # The profiler's ring-drain aggregator: it must keep running while
     # pool workers are being sampled, so it cannot be a pool task.
     "src/obs/profiler.cc",
@@ -423,9 +420,9 @@ def check_event_demux_discipline(path: Path, rel: str, text: str,
         if match:
             errors.append(
                 f"{rel}:{lineno}: raw {match.group(0).strip()}...) call; fd "
-                f"readiness goes through serve/reactor (EventLoop or "
-                f"PollReadable) so edge-trigger and EINTR handling have a "
-                f"single audited owner"
+                f"readiness goes through serve/reactor's EventLoop so "
+                f"edge-trigger and EINTR handling have a single audited "
+                f"owner"
             )
 
 

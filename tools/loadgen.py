@@ -28,8 +28,11 @@ Observability cross-checks, all optional:
   * --trace-export=FILE (with --spawn) passes --obs_trace and verifies
     the exported spans carry the loadgen trace ids verbatim;
   * --pprof (needs --metrics-port) pulls /debug/pprof/profile while the
-    load runs and asserts the serve.sample phase dominates the CPU
-    samples — the sampling profiler cross-checked against phase timing.
+    load runs — repeating the request set until the profile arrives, so
+    the whole window samples a loaded daemon — and asserts it holds at
+    least PPROF_MIN_SAMPLES samples of which the serve.sample phase
+    takes the required share: the sampling profiler cross-checked
+    against phase timing.
 
 Typical session against an already-running daemon:
 
@@ -79,6 +82,9 @@ DEFAULT_QUERY = (
 )
 SCHEMES = ["Natural", "KL", "KLM", "Cover"]
 MAX_FRAME = 8 * 1024 * 1024
+# Fewest CPU samples a --pprof profile may hold: below it, a couple of
+# samples would decide the serve.sample share rule.
+PPROF_MIN_SAMPLES = 30
 
 
 # ---------------------------------------------------------------------------
@@ -788,8 +794,9 @@ def check_pprof(args: argparse.Namespace, result: dict) -> bool:
         print(f"FAIL: profile did not decode: {err}", file=sys.stderr)
         return False
     total = sum(count for _, count in folded)
-    if total == 0:
-        print("FAIL: profile holds zero samples under load", file=sys.stderr)
+    if total < PPROF_MIN_SAMPLES:
+        print(f"FAIL: profile holds {total} samples under load, fewer than "
+              f"{PPROF_MIN_SAMPLES}", file=sys.stderr)
         return False
     share = profile_view.share_of(folded, "serve.sample")
     print(f"pprof under load: {total} samples, "
@@ -804,10 +811,14 @@ def check_pprof(args: argparse.Namespace, result: dict) -> bool:
     return True
 
 
-def check_access_log(path: str, requests: int) -> bool:
-    """Validates the JSONL access log: parseable lines, ok-query phase
-    sums within 10% of the logged total, trace ids present."""
+def check_access_log(path: str, first_pass: float) -> bool:
+    """Validates the JSONL access log: parseable lines, trace ids present,
+    and ok-query phase sums within 10% of the logged total over the first
+    `first_pass` query lines — the requested load. The rounds --pprof
+    repeats only to keep the profile window busy are parsed but not
+    phase-checked."""
     lines = 0
+    queries = 0
     checked = 0
     traced = 0
     worst = 0.0
@@ -825,7 +836,10 @@ def check_access_log(path: str, requests: int) -> bool:
                 return False
             if entry.get("trace_id", "").startswith("loadgen-"):
                 traced += 1
-            if entry["op"] != "query" or entry["code"] != 0:
+            if entry["op"] != "query":
+                continue
+            queries += 1
+            if entry["code"] != 0 or queries > first_pass:
                 continue
             total = entry["total_micros"]
             phase_sum = sum(entry[p] for p in phases)
@@ -838,7 +852,9 @@ def check_access_log(path: str, requests: int) -> bool:
                           f"({gap:.1%} apart): {raw!r}", file=sys.stderr)
                     return False
     print(f"access log: {lines} lines, {traced} with loadgen trace ids, "
-          f"{checked} phase-sum checks passed (worst gap {worst:.1%})")
+          f"{checked} phase-sum checks passed (worst gap {worst:.1%}), "
+          f"{max(0, queries - first_pass):.0f} repeated-round queries "
+          f"not phase-checked")
     if lines == 0:
         print("FAIL: access log is empty", file=sys.stderr)
         return False
@@ -991,9 +1007,10 @@ def parse_args() -> argparse.Namespace:
                              "on this port (0 = ephemeral); without --spawn: "
                              "the running daemon's metrics port")
     parser.add_argument("--pprof", action="store_true",
-                        help="while the load runs, pull /debug/pprof/profile "
-                             "and assert the serve.sample phase dominates "
-                             "the CPU samples (needs --metrics-port)")
+                        help="pull /debug/pprof/profile while repeating the "
+                             "request set until it arrives, and assert the "
+                             "serve.sample phase dominates its CPU samples "
+                             "(needs --metrics-port)")
     parser.add_argument("--pprof-seconds", type=float, default=3.0,
                         help="profile collection window for --pprof")
     parser.add_argument("--pprof-min-sample-share", type=float, default=0.8,
@@ -1022,6 +1039,7 @@ def main() -> int:
     generated_dir = ""
     proc = None
     ok = True
+    first_pass = math.inf  # Responses to the requested load.
     try:
         if args.gen:
             generated_dir = generate_dataset(args)
@@ -1063,7 +1081,7 @@ def main() -> int:
                 print("error: --pprof needs --metrics-port", file=sys.stderr)
                 return 2
             # Collect while the engine saturates the daemon (per-thread
-            # CPU-time timers mean post-load idle adds ~no samples).
+            # CPU-time timers mean idle time adds ~no samples).
             pprof_thread = threading.Thread(target=pprof_worker,
                                             args=(args, pprof_result))
             pprof_thread.start()
@@ -1077,6 +1095,18 @@ def main() -> int:
                 cells.append((codec, depth, depth_stats, depth_wall))
                 stats.merge(depth_stats)
                 wall += depth_wall
+        # --pprof: repeat the last cell's request set until the profile
+        # arrives, so the load overlaps the whole window instead of ending
+        # before or just after it opens.
+        first_pass = len(stats.latencies_s)
+        while pprof_thread is not None and pprof_thread.is_alive():
+            codec, depth, depth_stats, depth_wall = cells[-1]
+            repeat = Stats()
+            repeat_wall = run_load(args, depth, repeat)
+            depth_stats.merge(repeat)
+            stats.merge(repeat)
+            cells[-1] = (codec, depth, depth_stats, depth_wall + repeat_wall)
+            wall += repeat_wall
         args.codec = ",".join(codecs)
         if pprof_thread is not None:
             pprof_thread.join()
@@ -1126,7 +1156,7 @@ def main() -> int:
         # drain; check both once the daemon is down and the files are
         # final (they only exist when the run got as far as spawning).
         if args.access_log and os.path.exists(args.access_log):
-            if not check_access_log(args.access_log, args.requests):
+            if not check_access_log(args.access_log, first_pass):
                 ok = False
         if args.trace_export and os.path.exists(args.trace_export):
             if not check_trace_export(args.trace_export, args.requests):
