@@ -36,15 +36,15 @@ namespace {
 
 /// Synopsis with `n` images over `n` blocks of size `b`: image i pins
 /// block i plus block (i+1) mod n, a chain with heavy overlap.
-Synopsis ChainSynopsis(size_t n, size_t b) {
-  Synopsis s;
-  for (size_t i = 0; i < n; ++i) {
-    s.AddBlock(Synopsis::Block{b, 0, i});
+Synopsis ChainSynopsis(uint32_t n, uint32_t b) {
+  SynopsisBuilder builder;
+  for (uint32_t i = 0; i < n; ++i) {
+    builder.AddBlock(Synopsis::Block{b, 0, i});
   }
   for (uint32_t i = 0; i < n; ++i) {
-    s.AddImage({{i, 0}, {(i + 1) % static_cast<uint32_t>(n), 0}});
+    builder.AddImage({{i, 0}, {(i + 1) % n, 0}});
   }
-  return s;
+  return builder.Finish();
 }
 
 void BM_IndexedNaturalSamplerDraw(benchmark::State& state) {
@@ -90,9 +90,10 @@ void BM_OptEstimateVsHoeffding(benchmark::State& state) {
   // exactly one image, so SampleKLM is the constant 1 and the optimal
   // estimator needs a tiny N — while the Hoeffding bound, blind to
   // variance, still demands Θ(ln(1/δ)/ε²) samples.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{4, 0, 0});
-  for (uint32_t t = 0; t < 4; ++t) s.AddImage({{0, t}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{4, 0, 0});
+  for (uint32_t t = 0; t < 4; ++t) builder.AddImage({{0, t}});
+  const Synopsis s = builder.Finish();
   SymbolicSpace space(&s);
   KlmSampler sampler(&space);
   const double epsilon = 0.1, delta = 0.25;

@@ -6,13 +6,6 @@
 
 namespace cqa {
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 uint64_t Rng::ForkSeed() {
   // Mixing the fork ordinal in before the engine draw keeps sibling seeds
   // distinct even if the engine ever produced a repeated value.

@@ -12,8 +12,15 @@ namespace cqa {
 /// to derive decorrelated child-stream seeds from a parent generator:
 /// even sequential inputs (0, 1, 2, ...) map to statistically independent
 /// outputs, so seeding one engine per worker from it avoids the
-/// correlated-lowbits trap of seeding from raw engine draws.
-uint64_t SplitMix64(uint64_t x);
+/// correlated-lowbits trap of seeding from raw engine draws. Also the
+/// mixer of the synopsis encoder's hash tables, which call it per fact,
+/// hence inline.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  return x ^ (x >> 31);
+}
 
 /// Pseudo-random source used by every randomized component of the library.
 ///

@@ -44,10 +44,11 @@ BlockDnf SynopsisToBlockDnf(const Synopsis& synopsis) {
     formula.block_sizes.push_back(b.size);
   }
   formula.clauses.reserve(synopsis.NumImages());
-  for (const Synopsis::Image& image : synopsis.images()) {
+  for (size_t i = 0; i < synopsis.NumImages(); ++i) {
+    const std::span<const Synopsis::ImageFact> image = synopsis.image(i);
     std::vector<BlockDnf::Literal> clause;
-    clause.reserve(image.facts.size());
-    for (const Synopsis::ImageFact& f : image.facts) {
+    clause.reserve(image.size());
+    for (const Synopsis::ImageFact& f : image) {
       clause.push_back(BlockDnf::Literal{f.block, f.tid});
     }
     formula.clauses.push_back(std::move(clause));

@@ -55,7 +55,7 @@ std::optional<double> ExactRatioInclusionExclusion(const Synopsis& synopsis,
     for (size_t i = 0; i < n && consistent; ++i) {
       if (!(mask & (uint64_t{1} << i))) continue;
       ++members;
-      for (const Synopsis::ImageFact& f : synopsis.images()[i].facts) {
+      for (const Synopsis::ImageFact& f : synopsis.image(i)) {
         if (union_tid[f.block] == kUnset) {
           union_tid[f.block] = f.tid;
           touched.push_back(f.block);
@@ -95,7 +95,7 @@ std::optional<double> ExactRatioDecomposed(const Synopsis& synopsis,
   };
   std::vector<size_t> block_owner(synopsis.NumBlocks(), n);
   for (size_t i = 0; i < n; ++i) {
-    for (const Synopsis::ImageFact& f : synopsis.images()[i].facts) {
+    for (const Synopsis::ImageFact& f : synopsis.image(i)) {
       if (block_owner[f.block] == n) {
         block_owner[f.block] = i;
       } else {
@@ -107,21 +107,24 @@ std::optional<double> ExactRatioDecomposed(const Synopsis& synopsis,
   // Build one sub-synopsis per component and combine independently.
   std::unordered_map<size_t, std::vector<size_t>> components;
   for (size_t i = 0; i < n; ++i) components[find(i)].push_back(i);
+  constexpr uint32_t kUnmapped = UINT32_MAX;
+  std::vector<uint32_t> local(synopsis.NumBlocks(), kUnmapped);
+  std::vector<Synopsis::ImageFact> facts;
   double prob_none = 1.0;
   for (const auto& [root, members] : components) {
     if (members.size() > max_component_images) return std::nullopt;
-    Synopsis sub;
-    std::unordered_map<size_t, size_t> local;
+    SynopsisBuilder builder;
     for (size_t i : members) {
-      std::vector<Synopsis::ImageFact> facts;
-      for (const Synopsis::ImageFact& f : synopsis.images()[i].facts) {
-        auto [it, inserted] = local.emplace(f.block, sub.NumBlocks());
-        if (inserted) sub.AddBlock(synopsis.blocks()[f.block]);
-        facts.push_back(Synopsis::ImageFact{
-            static_cast<uint32_t>(it->second), f.tid});
+      facts.clear();
+      for (const Synopsis::ImageFact& f : synopsis.image(i)) {
+        if (local[f.block] == kUnmapped) {
+          local[f.block] = builder.AddBlock(synopsis.blocks()[f.block]);
+        }
+        facts.push_back(Synopsis::ImageFact{local[f.block], f.tid});
       }
-      sub.AddImage(std::move(facts));
+      builder.AddImage(facts);
     }
+    const Synopsis sub = builder.Finish();
     std::optional<double> r_c =
         ExactRatioInclusionExclusion(sub, max_component_images);
     if (!r_c.has_value()) return std::nullopt;

@@ -6,8 +6,8 @@ namespace cqa {
 
 ImageIndex::ImageIndex(const Synopsis* synopsis) {
   CQA_CHECK(synopsis != nullptr);
-  const std::vector<Synopsis::Block>& blocks = synopsis->blocks();
-  const std::vector<Synopsis::Image>& images = synopsis->images();
+  const std::span<const Synopsis::Block> blocks = synopsis->blocks();
+  const size_t num_images = synopsis->NumImages();
 
   // Lay the (block, tid) cells of the conflict blocks out back to back.
   // Every size-1 block maps to one extra cell, `spill`, after them, so the
@@ -25,17 +25,18 @@ ImageIndex::ImageIndex(const Synopsis* synopsis) {
     if (blocks[b].size < 2) block_base_[b] = spill;
   }
   cell_offsets_.assign(spill + 2, 0);
-  conflict_sizes_.resize(images.size());
-  last_block_.resize(images.size());
-  for (uint32_t i = 0; i < images.size(); ++i) {
+  conflict_sizes_.resize(num_images);
+  last_block_.resize(num_images);
+  for (uint32_t i = 0; i < num_images; ++i) {
+    const std::span<const Synopsis::ImageFact> image = synopsis->image(i);
     uint32_t conflict = 0;
-    for (const Synopsis::ImageFact& f : images[i].facts) {
+    for (const Synopsis::ImageFact& f : image) {
       conflict += block_base_[f.block] != spill;
       ++cell_offsets_[block_base_[f.block] + f.tid + 1];
     }
     conflict_sizes_[i] = conflict;
     // Facts are sorted by block, so the last one sits in the last block.
-    last_block_[i] = images[i].facts.back().block;
+    last_block_[i] = image.back().block;
   }
   for (size_t c = 1; c < cell_offsets_.size(); ++c) {
     cell_offsets_[c] += cell_offsets_[c - 1];
@@ -43,8 +44,8 @@ ImageIndex::ImageIndex(const Synopsis* synopsis) {
   images_.resize(cell_offsets_.back());
   std::vector<uint32_t> fill_pos(cell_offsets_.begin(),
                                  cell_offsets_.end() - 1);
-  for (uint32_t i = 0; i < images.size(); ++i) {
-    for (const Synopsis::ImageFact& f : images[i].facts) {
+  for (uint32_t i = 0; i < num_images; ++i) {
+    for (const Synopsis::ImageFact& f : synopsis->image(i)) {
       images_[fill_pos[block_base_[f.block] + f.tid]++] = i;
     }
   }
@@ -53,7 +54,7 @@ ImageIndex::ImageIndex(const Synopsis* synopsis) {
   cell_offsets_[spill + 1] = cell_offsets_[spill];
 
   // An image with no conflict fact is certain: every database holds it.
-  for (uint32_t i = 0; i < images.size(); ++i) {
+  for (uint32_t i = 0; i < num_images; ++i) {
     if (conflict_sizes_[i] > 0) continue;
     ++num_certain_;
     if (first_certain_ == kNone) first_certain_ = i;
@@ -62,13 +63,13 @@ ImageIndex::ImageIndex(const Synopsis* synopsis) {
       certain_witness_ = i;
     }
   }
-  hits_.assign(images.size(), 0);
-  stamp_.assign(images.size(), 0);
+  hits_.assign(num_images, 0);
+  stamp_.assign(num_images, 0);
 }
 
 TidDigitPlan::TidDigitPlan(const Synopsis* synopsis) {
   CQA_CHECK(synopsis != nullptr);
-  const std::vector<Synopsis::Block>& blocks = synopsis->blocks();
+  const std::span<const Synopsis::Block> blocks = synopsis->blocks();
   sizes_.reserve(blocks.size());
   refill_.assign(blocks.size(), 0);
   // Granularity left in the current word; starts exhausted so the first

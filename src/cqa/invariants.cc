@@ -1,9 +1,10 @@
 #include "cqa/invariants.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <set>
+#include <span>
 #include <vector>
 
 namespace cqa::audit {
@@ -24,19 +25,23 @@ std::string At(const char* what, size_t index) {
 }  // namespace
 
 bool CheckSynopsis(const Synopsis& synopsis, std::string* why) {
-  const std::vector<Synopsis::Block>& blocks = synopsis.blocks();
+  const std::span<const Synopsis::Block> blocks = synopsis.blocks();
   for (size_t b = 0; b < blocks.size(); ++b) {
     if (blocks[b].size < 1) {
       return Fail(why, At("empty block", b));
     }
   }
-  std::set<std::vector<Synopsis::ImageFact>> seen;
-  const std::vector<Synopsis::Image>& images = synopsis.images();
-  for (size_t i = 0; i < images.size(); ++i) {
-    const std::vector<Synopsis::ImageFact>& facts = images[i].facts;
+  const size_t n = synopsis.NumImages();
+  size_t packed = 0;  // Images tile the packed fact array in order.
+  for (size_t i = 0; i < n; ++i) {
+    const std::span<const Synopsis::ImageFact> facts = synopsis.image(i);
     if (facts.empty()) {
       return Fail(why, At("empty image", i));
     }
+    if (facts.data() != synopsis.facts().data() + packed) {
+      return Fail(why, At("image off the packed fact array, image", i));
+    }
+    packed += facts.size();
     for (size_t j = 0; j < facts.size(); ++j) {
       if (facts[j].block >= blocks.size()) {
         return Fail(why, At("image with out-of-range block, image", i));
@@ -50,12 +55,28 @@ bool CheckSynopsis(const Synopsis& synopsis, std::string* why) {
         return Fail(why, At("image not strictly sorted by block, image", i));
       }
     }
-    if (!seen.insert(facts).second) {
-      return Fail(why, At("duplicate image", i));
+  }
+  if (packed != synopsis.facts().size()) {
+    return Fail(why, "packed fact array holds facts of no image");
+  }
+  // H is a set: sorted by content, equal images would be neighbours.
+  std::vector<uint32_t> order(n);
+  for (uint32_t i = 0; i < n; ++i) order[i] = i;
+  auto less = [&](uint32_t a, uint32_t b) {
+    const std::span<const Synopsis::ImageFact> x = synopsis.image(a);
+    const std::span<const Synopsis::ImageFact> y = synopsis.image(b);
+    return std::lexicographical_compare(x.begin(), x.end(), y.begin(),
+                                        y.end());
+  };
+  std::sort(order.begin(), order.end(), less);
+  for (size_t k = 1; k < n; ++k) {
+    if (!less(order[k - 1], order[k])) {
+      return Fail(why,
+                  At("duplicate image", std::max(order[k - 1], order[k])));
     }
   }
   const std::vector<double> weights = synopsis.ImageWeights();
-  if (weights.size() != images.size()) {
+  if (weights.size() != n) {
     return Fail(why, "weight count does not match image count");
   }
   for (size_t i = 0; i < weights.size(); ++i) {
@@ -152,7 +173,7 @@ bool CheckSampledElement(const SymbolicSpace& space, size_t image_index,
   if (image_index >= synopsis.NumImages()) {
     return Fail(why, At("sampled image index out of range:", image_index));
   }
-  const std::vector<Synopsis::Block>& blocks = synopsis.blocks();
+  const std::span<const Synopsis::Block> blocks = synopsis.blocks();
   if (choice.size() != blocks.size()) {
     return Fail(why, "choice size does not match block count");
   }
@@ -180,8 +201,7 @@ bool CheckImageInPrefix(const Synopsis& synopsis, size_t image_index,
   if (prefix_blocks > choice.size()) {
     return Fail(why, "prefix extends past the drawn choice");
   }
-  for (const Synopsis::ImageFact& f :
-       synopsis.images()[image_index].facts) {
+  for (const Synopsis::ImageFact& f : synopsis.image(image_index)) {
     if (f.block >= prefix_blocks) {
       return Fail(why, At("accepted image has an undrawn block, image",
                           image_index));
@@ -197,7 +217,7 @@ bool CheckImageInPrefix(const Synopsis& synopsis, size_t image_index,
 
 bool CheckNaturalDraw(const Synopsis& synopsis, const Synopsis::Choice& choice,
                       double value, std::string* why) {
-  const std::vector<Synopsis::Block>& blocks = synopsis.blocks();
+  const std::span<const Synopsis::Block> blocks = synopsis.blocks();
   if (choice.size() != blocks.size()) {
     return Fail(why, "choice size does not match block count");
   }

@@ -1,7 +1,7 @@
 #include "cqa/preprocess.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
 #include <unordered_set>
 
 #include "common/macros.h"
@@ -16,47 +16,68 @@ namespace cqa {
 
 namespace {
 
-/// A fact in global (relation, block, tid) coordinates.
-struct GlobalFact {
-  size_t relation_id;
-  size_t block_id;
-  size_t tid;
+constexpr uint32_t kNoId = UINT32_MAX;
 
-  friend bool operator<(const GlobalFact& a, const GlobalFact& b) {
-    if (a.relation_id != b.relation_id) return a.relation_id < b.relation_id;
-    if (a.block_id != b.block_id) return a.block_id < b.block_id;
-    return a.tid < b.tid;
-  }
-  friend bool operator==(const GlobalFact& a, const GlobalFact& b) {
-    return a.relation_id == b.relation_id && a.block_id == b.block_id &&
-           a.tid == b.tid;
-  }
-};
+/// Groups homomorphisms by answer h(x̄) without building a Tuple for
+/// each: an open-addressing table of dense answer ids (in order of first
+/// appearance) keyed by a hash of the answer values, read straight from
+/// the assignment. A Tuple is built only for a new answer.
+class AnswerTable {
+ public:
+  explicit AnswerTable(const ConjunctiveQuery& q) : q_(q) {}
 
-/// Order-insensitive only up to the sort BuildSynopses applies to every
-/// image before insertion, so equal images hash equal. SplitMix64 mixes
-/// each coordinate; a plain XOR would collide permuted fact sets.
-struct GlobalImageHash {
-  size_t operator()(const std::vector<GlobalFact>& image) const {
-    uint64_t h = SplitMix64(image.size());
-    for (const GlobalFact& g : image) {
-      h = SplitMix64(h ^ g.relation_id);
-      h = SplitMix64(h ^ g.block_id);
-      h = SplitMix64(h ^ g.tid);
+  /// The id of h's answer; `*added` is set when h introduced it.
+  uint32_t FindOrAdd(const Homomorphism& h, bool* added) {
+    const std::vector<size_t>& vars = q_.answer_vars();
+    size_t hash = vars.size();
+    for (size_t v : vars) HashCombine(hash, h.assignment[v].Hash());
+    hash = SplitMix64(hash);  // Slots index by the low bits.
+    if ((tuples_.size() + 1) * 2 > slots_.size()) Grow();
+    const size_t mask = slots_.size() - 1;
+    size_t s = hash & mask;
+    for (; slots_[s].id != kNoId; s = (s + 1) & mask) {
+      if (slots_[s].hash == hash && Matches(tuples_[slots_[s].id], h)) {
+        *added = false;
+        return slots_[s].id;
+      }
     }
-    return static_cast<size_t>(h);
+    *added = true;
+    slots_[s] = Slot{static_cast<uint32_t>(tuples_.size()), hash};
+    tuples_.push_back(h.AnswerTuple(q_));
+    return slots_[s].id;
   }
-};
 
-/// Per-answer builder mapping global blocks to local synopsis blocks.
-struct SynopsisBuilder {
-  Synopsis synopsis;
-  std::unordered_map<size_t, size_t> local_block;  // packed key -> local id
+  std::vector<Tuple>& tuples() { return tuples_; }
 
-  static size_t PackKey(size_t relation_id, size_t block_id) {
-    // Relations are few (< 2^10); block ids fit comfortably in 54 bits.
-    return (relation_id << 54) | block_id;
+ private:
+  struct Slot {
+    uint32_t id;
+    size_t hash;
+  };
+
+  bool Matches(const Tuple& answer, const Homomorphism& h) const {
+    const std::vector<size_t>& vars = q_.answer_vars();
+    for (size_t k = 0; k < vars.size(); ++k) {
+      if (answer[k] != h.assignment[vars[k]]) return false;
+    }
+    return true;
   }
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{kNoId, 0});
+    const size_t mask = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kNoId) continue;
+      size_t s = slot.hash & mask;
+      while (slots_[s].id != kNoId) s = (s + 1) & mask;
+      slots_[s] = slot;
+    }
+  }
+
+  const ConjunctiveQuery& q_;
+  std::vector<Tuple> tuples_;
+  std::vector<Slot> slots_;
 };
 
 }  // namespace
@@ -72,19 +93,76 @@ std::vector<FactRef> PreprocessResult::ImageFactRefs() const {
   // then sort once: callers rely on the deterministic order.
   std::unordered_set<FactRef, FactRefHash> facts;
   for (const AnswerSynopsis& as : answers_) {
-    const std::vector<Synopsis::Block>& blocks = as.synopsis.blocks();
-    for (const Synopsis::Image& image : as.synopsis.images()) {
-      for (const Synopsis::ImageFact& f : image.facts) {
-        const Synopsis::Block& b = blocks[f.block];
-        size_t row =
-            block_index_->relation(b.relation_id).block(b.block_id)[f.tid];
-        facts.insert(FactRef{b.relation_id, row});
-      }
+    const std::span<const Synopsis::Block> blocks = as.synopsis.blocks();
+    for (const Synopsis::ImageFact& f : as.synopsis.facts()) {
+      const Synopsis::Block& b = blocks[f.block];
+      size_t row =
+          block_index_->relation(b.relation_id).block(b.block_id)[f.tid];
+      facts.insert(FactRef{b.relation_id, row});
     }
   }
   std::vector<FactRef> sorted(facts.begin(), facts.end());
   std::sort(sorted.begin(), sorted.end());
   return sorted;
+}
+
+size_t CountDistinctImages(std::span<const AnswerSynopsis> answers) {
+  // An image's key is its set of (relation, block, tid) facts. Local
+  // block order differs between answers, so the hash sums per-fact
+  // hashes (order-free) and equality matches facts pairwise: an image
+  // has at most one fact per atom.
+  struct Slot {
+    uint32_t answer;
+    uint32_t image;
+    uint32_t hash;
+  };
+  auto global = [&](uint32_t a, const Synopsis::ImageFact& f) {
+    const Synopsis::Block& b = answers[a].synopsis.blocks()[f.block];
+    return std::array<uint32_t, 3>{b.relation_id, b.block_id, f.tid};
+  };
+  auto hash_of = [&](uint32_t a, uint32_t i) {
+    uint64_t sum = 0;
+    for (const Synopsis::ImageFact& f : answers[a].synopsis.image(i)) {
+      const std::array<uint32_t, 3> g = global(a, f);
+      sum += SplitMix64(SplitMix64((uint64_t{g[0]} << 32) | g[1]) ^ g[2]);
+    }
+    return static_cast<uint32_t>(SplitMix64(sum));
+  };
+  auto same = [&](uint32_t a, uint32_t i, uint32_t b, uint32_t j) {
+    const std::span<const Synopsis::ImageFact> x = answers[a].synopsis.image(i);
+    const std::span<const Synopsis::ImageFact> y = answers[b].synopsis.image(j);
+    if (x.size() != y.size()) return false;
+    for (const Synopsis::ImageFact& f : x) {
+      const std::array<uint32_t, 3> g = global(a, f);
+      bool found = false;
+      for (const Synopsis::ImageFact& e : y) found |= global(b, e) == g;
+      if (!found) return false;
+    }
+    return true;
+  };
+
+  size_t total = 0;
+  for (const AnswerSynopsis& as : answers) total += as.synopsis.NumImages();
+  size_t capacity = 16;
+  while (capacity < 2 * total) capacity *= 2;
+  std::vector<Slot> slots(capacity, Slot{kNoId, 0, 0});
+  const size_t mask = capacity - 1;
+  size_t distinct = 0;
+  for (uint32_t a = 0; a < answers.size(); ++a) {
+    for (uint32_t i = 0; i < answers[a].synopsis.NumImages(); ++i) {
+      const uint32_t hash = hash_of(a, i);
+      size_t s = hash & mask;
+      while (slots[s].answer != kNoId &&
+             !(slots[s].hash == hash &&
+               same(slots[s].answer, slots[s].image, a, i))) {
+        s = (s + 1) & mask;
+      }
+      if (slots[s].answer != kNoId) continue;  // Seen under another answer.
+      slots[s] = Slot{a, i, hash};
+      ++distinct;
+    }
+  }
+  return distinct;
 }
 
 PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
@@ -103,72 +181,42 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
   CQA_AUDIT(audit::CheckBlockPartition, db, block_index);
   PreprocessStats stats;
 
-  std::unordered_map<Tuple, size_t, TupleHash> answer_index;
-  std::vector<AnswerSynopsis> answers;
+  AnswerTable answer_table(q);
   std::vector<SynopsisBuilder> builders;
-  std::unordered_set<std::vector<GlobalFact>, GlobalImageHash>
-      distinct_images;
-
   CqEvaluator evaluator(&db, cache);
   std::vector<GlobalFact> image;
   evaluator.ForEachHomomorphism(q, [&](const Homomorphism& h) {
     ++stats.num_homomorphisms;
-    // Translate the image to (rid, bid, tid) coordinates and check
-    // consistency: h(Q) |= Σ iff no block receives two distinct tuples.
+    // Translate the image to (rid, bid, tid) coordinates and keep it only
+    // if consistent.
     image.clear();
     for (const FactRef& f : h.image) {
       const BlockAnnotation ann =
           block_index.relation(f.relation_id).annotation(f.row);
-      image.push_back(GlobalFact{f.relation_id, ann.block_id, ann.tuple_id});
+      image.push_back(GlobalFact{static_cast<uint32_t>(f.relation_id),
+                                 static_cast<uint32_t>(ann.block_id),
+                                 static_cast<uint32_t>(ann.tuple_id),
+                                 static_cast<uint32_t>(ann.block_size)});
     }
-    std::sort(image.begin(), image.end());
-    image.erase(std::unique(image.begin(), image.end()), image.end());
-    for (size_t i = 1; i < image.size(); ++i) {
-      if (image[i].relation_id == image[i - 1].relation_id &&
-          image[i].block_id == image[i - 1].block_id) {
-        return true;  // Inconsistent image; skip.
-      }
-    }
-
-    Tuple answer = h.AnswerTuple(q);
-    auto [it, inserted] = answer_index.emplace(answer, builders.size());
-    if (inserted) {
-      answers.push_back(AnswerSynopsis{std::move(answer), Synopsis()});
-      builders.emplace_back();
-    }
-    SynopsisBuilder& builder = builders[it->second];
-
-    std::vector<Synopsis::ImageFact> local_facts;
-    local_facts.reserve(image.size());
-    for (const GlobalFact& g : image) {
-      size_t key = SynopsisBuilder::PackKey(g.relation_id, g.block_id);
-      auto [bit, block_inserted] =
-          builder.local_block.emplace(key, builder.synopsis.NumBlocks());
-      if (block_inserted) {
-        size_t size =
-            block_index.relation(g.relation_id).block(g.block_id).size();
-        builder.synopsis.AddBlock(
-            Synopsis::Block{size, g.relation_id, g.block_id});
-      }
-      local_facts.push_back(
-          Synopsis::ImageFact{static_cast<uint32_t>(bit->second),
-                              static_cast<uint32_t>(g.tid)});
-    }
-    if (builder.synopsis.AddImage(std::move(local_facts))) {
-      ++stats.num_images;
-      distinct_images.insert(image);
-    }
+    if (!CanonicalizeImage(&image)) return true;  // Inconsistent; skip.
+    bool added = false;
+    const uint32_t answer = answer_table.FindOrAdd(h, &added);
+    if (added) builders.emplace_back();
+    if (builders[answer].AddGlobalImage(image)) ++stats.num_images;
     return true;
   });
 
-  for (size_t i = 0; i < answers.size(); ++i) {
-    answers[i].synopsis = std::move(builders[i].synopsis);
+  std::vector<AnswerSynopsis> answers;
+  answers.reserve(builders.size());
+  for (size_t i = 0; i < builders.size(); ++i) {
+    answers.push_back(AnswerSynopsis{std::move(answer_table.tuples()[i]),
+                                     builders[i].Finish()});
     CQA_OBS_OBSERVE("preprocess.synopsis_images",
                     answers[i].synopsis.NumImages());
     CQA_OBS_OBSERVE("preprocess.synopsis_blocks",
                     answers[i].synopsis.NumBlocks());
   }
-  stats.num_distinct_images = distinct_images.size();
+  stats.num_distinct_images = CountDistinctImages(answers);
   stats.seconds = watch.ElapsedSeconds();
   CQA_OBS_COUNT_N("preprocess.homomorphisms", stats.num_homomorphisms);
   CQA_OBS_COUNT_N("preprocess.consistent_images", stats.num_images);

@@ -9,6 +9,7 @@
 #define CQABENCH_CQA_PREPROCESS_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "cqa/synopsis.h"
@@ -71,6 +72,13 @@ class PreprocessResult {
   PreprocessStats stats_;
 };
 
+/// |∪_i H_i| over `answers`: their images counted once each in database
+/// coordinates, however many answers hold them. One pass over the
+/// finished synopses; an image appears under two answers only when two
+/// homomorphisms with different answers share an image (a self-join
+/// such as Q(X) :- R(X, Y), R(Y, X)).
+size_t CountDistinctImages(std::span<const AnswerSynopsis> answers);
+
 /// The preprocessing step: computes syn_{Σ,Q}(D) in one pass.
 ///
 /// Mirrors the paper's SQL rewriting Q^rew (Appendix C): annotate every
@@ -78,7 +86,10 @@ class PreprocessResult {
 /// (Database::block_index, built on the first call), enumerate all
 /// homomorphisms, keep the consistent images (no block mapped to two
 /// distinct tuple ids), and group them by answer tuple h(x̄). Runs in time
-/// polynomial in ||D|| (Lemma 4.1).
+/// polynomial in ||D|| (Lemma 4.1). A homomorphism costs no heap
+/// allocation beyond the evaluator's: answers are found by a hash of the
+/// assignment's answer values, and each answer's SynopsisBuilder encodes
+/// the image in place.
 ///
 /// `cache` optionally shares evaluation indexes across calls on the same
 /// database.

@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
-#include <unordered_map>
 
 #include "common/macros.h"
 #include "common/stopwatch.h"
@@ -42,6 +40,33 @@ std::vector<size_t> NonKeyPositions(const RelationSchema& rel) {
 std::string SqlLiteral(const Value& v) {
   if (v.is_string()) return "'" + v.AsString() + "'";
   return v.ToString();
+}
+
+/// The linear pass of Appendix C over Q^rew(D), shared by both callers
+/// below: rows arrive grouped by answer, and each row's fact set
+/// {[[rid, bid, tid]]} is the homomorphic image, kept when equal (rid,
+/// bid) implies equal tid. Calls `emit(answer, synopsis)` once per answer
+/// in row order, skipping answers whose every homomorphism was
+/// inconsistent (Lemma 4.1(4) excludes them from syn); stops as soon as
+/// `emit` returns false. One answer's synopsis is in memory at a time.
+template <typename Emit>
+void EncodeRows(const std::vector<QrewRow>& rows, Emit&& emit) {
+  SynopsisBuilder builder;
+  std::vector<GlobalFact> image;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const QrewRow& row = rows[i];
+    image.clear();
+    for (const QrewRow::AtomAnnotation& a : row.atoms) {
+      image.push_back(GlobalFact{static_cast<uint32_t>(a.rid),
+                                 static_cast<uint32_t>(a.bid),
+                                 static_cast<uint32_t>(a.tid),
+                                 static_cast<uint32_t>(a.kcnt)});
+    }
+    if (CanonicalizeImage(&image)) builder.AddGlobalImage(image);
+    if (i + 1 < rows.size() && rows[i + 1].answer == row.answer) continue;
+    Synopsis synopsis = builder.Finish();
+    if (!synopsis.Empty() && !emit(row.answer, std::move(synopsis))) return;
+  }
 }
 
 }  // namespace
@@ -189,123 +214,23 @@ PreprocessResult BuildSynopsesViaRewriting(const Database& db,
   std::vector<QrewRow> rows = ExecuteRewriting(db, q, *index);
   PreprocessStats stats;
   stats.num_homomorphisms = rows.size();
-
-  // Linear pass over Q^rew(D), Appendix C: for each row, the fact set
-  // {[[rid, bid, tid]]} is the homomorphic image; it satisfies Σ iff equal
-  // (rid, bid) implies equal tid. Rows arrive grouped by answer.
   std::vector<AnswerSynopsis> answers;
-  std::unordered_map<size_t, size_t> local_block;
-  std::set<std::vector<std::tuple<size_t, size_t, size_t>>> distinct_images;
-  std::vector<std::tuple<size_t, size_t, size_t, size_t>> image;
-
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const QrewRow& row = rows[i];
-    if (answers.empty() || answers.back().answer != row.answer) {
-      answers.push_back(AnswerSynopsis{row.answer, Synopsis()});
-      local_block.clear();
-    }
-    AnswerSynopsis& current = answers.back();
-
-    image.clear();
-    for (const QrewRow::AtomAnnotation& a : row.atoms) {
-      image.emplace_back(a.rid, a.bid, a.tid, a.kcnt);
-    }
-    std::sort(image.begin(), image.end());
-    image.erase(std::unique(image.begin(), image.end()), image.end());
-    bool consistent = true;
-    for (size_t j = 1; j < image.size(); ++j) {
-      if (std::get<0>(image[j]) == std::get<0>(image[j - 1]) &&
-          std::get<1>(image[j]) == std::get<1>(image[j - 1])) {
-        consistent = false;
-        break;
-      }
-    }
-    if (!consistent) continue;
-
-    std::vector<Synopsis::ImageFact> facts;
-    facts.reserve(image.size());
-    std::vector<std::tuple<size_t, size_t, size_t>> canonical;
-    for (const auto& [rid, bid, tid, kcnt] : image) {
-      size_t key = (rid << 54) | bid;
-      auto [it, inserted] =
-          local_block.emplace(key, current.synopsis.NumBlocks());
-      if (inserted) {
-        current.synopsis.AddBlock(Synopsis::Block{kcnt, rid, bid});
-      }
-      facts.push_back(Synopsis::ImageFact{static_cast<uint32_t>(it->second),
-                                          static_cast<uint32_t>(tid)});
-      canonical.emplace_back(rid, bid, tid);
-    }
-    if (current.synopsis.AddImage(std::move(facts))) {
-      ++stats.num_images;
-      distinct_images.insert(canonical);
-    }
-  }
-
-  // Answers whose every homomorphism was inconsistent contribute no
-  // image; Lemma 4.1(4) excludes them from syn.
-  std::vector<AnswerSynopsis> kept;
-  for (AnswerSynopsis& as : answers) {
-    if (!as.synopsis.Empty()) kept.push_back(std::move(as));
-  }
-  stats.num_distinct_images = distinct_images.size();
+  EncodeRows(rows, [&](const Tuple& answer, Synopsis synopsis) {
+    stats.num_images += synopsis.NumImages();
+    answers.push_back(AnswerSynopsis{answer, std::move(synopsis)});
+    return true;
+  });
+  stats.num_distinct_images = CountDistinctImages(answers);
   stats.seconds = watch.ElapsedSeconds();
-  return PreprocessResult(std::move(kept), std::move(index), stats);
+  return PreprocessResult(std::move(answers), std::move(index), stats);
 }
 
 void ForEachSynopsis(const Database& db, const ConjunctiveQuery& q,
                      const SynopsisCallback& fn) {
-  std::vector<QrewRow> rows = ExecuteRewriting(db, q, *db.block_index());
-
-  // One answer's synopsis lives at a time; flushed at answer boundaries.
-  bool open = false;
-  Tuple current_answer;
-  Synopsis current;
-  std::unordered_map<size_t, size_t> local_block;
-  std::vector<std::tuple<size_t, size_t, size_t, size_t>> image;
-
-  auto flush = [&]() -> bool {
-    if (!open || current.Empty()) return true;
-    return fn(current_answer, current);
-  };
-
-  for (const QrewRow& row : rows) {
-    if (!open || current_answer != row.answer) {
-      if (!flush()) return;
-      open = true;
-      current_answer = row.answer;
-      current = Synopsis();
-      local_block.clear();
-    }
-    image.clear();
-    for (const QrewRow::AtomAnnotation& a : row.atoms) {
-      image.emplace_back(a.rid, a.bid, a.tid, a.kcnt);
-    }
-    std::sort(image.begin(), image.end());
-    image.erase(std::unique(image.begin(), image.end()), image.end());
-    bool consistent = true;
-    for (size_t j = 1; j < image.size(); ++j) {
-      if (std::get<0>(image[j]) == std::get<0>(image[j - 1]) &&
-          std::get<1>(image[j]) == std::get<1>(image[j - 1])) {
-        consistent = false;
-        break;
-      }
-    }
-    if (!consistent) continue;
-    std::vector<Synopsis::ImageFact> facts;
-    facts.reserve(image.size());
-    for (const auto& [rid, bid, tid, kcnt] : image) {
-      size_t key = (rid << 54) | bid;
-      auto [it, inserted] = local_block.emplace(key, current.NumBlocks());
-      if (inserted) {
-        current.AddBlock(Synopsis::Block{kcnt, rid, bid});
-      }
-      facts.push_back(Synopsis::ImageFact{static_cast<uint32_t>(it->second),
-                                          static_cast<uint32_t>(tid)});
-    }
-    current.AddImage(std::move(facts));
-  }
-  flush();
+  EncodeRows(ExecuteRewriting(db, q, *db.block_index()),
+             [&](const Tuple& answer, Synopsis synopsis) {
+               return fn(answer, synopsis);
+             });
 }
 
 }  // namespace cqa

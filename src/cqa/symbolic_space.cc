@@ -20,19 +20,16 @@ SymbolicSpace::SymbolicSpace(const Synopsis* synopsis)
   // against bit for bit) and copies the image's facts into the flat pin
   // array. A fact is kept only when its block has size >= 2: the write
   // position advances by that test, so there is no per-fact branch.
-  const std::vector<Synopsis::Block>& blocks = synopsis->blocks();
-  const std::vector<Synopsis::Image>& images = synopsis->images();
-  const size_t n = images.size();
-  size_t num_facts = 0;
-  for (const Synopsis::Image& image : images) num_facts += image.facts.size();
+  const std::span<const Synopsis::Block> blocks = synopsis->blocks();
+  const size_t n = synopsis->NumImages();
   weights_.resize(n);
-  pins_.resize(num_facts);
+  pins_.resize(synopsis->facts().size());
   pin_offsets_.resize(n + 1);
   uint32_t end = 0;
   for (size_t i = 0; i < n; ++i) {
     pin_offsets_[i] = end;
     double w = 1.0;
-    for (const Synopsis::ImageFact& f : images[i].facts) {
+    for (const Synopsis::ImageFact& f : synopsis->image(i)) {
       w /= static_cast<double>(blocks[f.block].size);
       pins_[end] = f;
       end += blocks[f.block].size >= 2;

@@ -5,31 +5,31 @@
 #include <sstream>
 
 #include "common/macros.h"
+#include "common/rng.h"
 
 namespace cqa {
 
-size_t Synopsis::AddBlock(Block block) {
-  CQA_CHECK(block.size >= 1);
-  blocks_.push_back(block);
-  return blocks_.size() - 1;
+namespace {
+
+constexpr uint32_t kNoId = UINT32_MAX;
+constexpr size_t kFirstSlots = 16;
+
+// Table slots index by the hash's low bits; the image table also keeps
+// all 32 as a tag, so the hash is folded to 32 bits first.
+uint32_t HashImage(std::span<const Synopsis::ImageFact> facts) {
+  uint64_t h = facts.size();
+  for (const Synopsis::ImageFact& f : facts) {
+    h = SplitMix64(h ^ ((uint64_t{f.block} << 32) | f.tid));
+  }
+  return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
-bool Synopsis::AddImage(std::vector<ImageFact> facts) {
-  CQA_CHECK_MSG(!facts.empty(), "an image must contain at least one fact");
-  std::sort(facts.begin(), facts.end());
-  facts.erase(std::unique(facts.begin(), facts.end()), facts.end());
-  for (size_t i = 0; i < facts.size(); ++i) {
-    CQA_CHECK(facts[i].block < blocks_.size());
-    CQA_CHECK(facts[i].tid < blocks_[facts[i].block].size);
-    if (i > 0) {
-      CQA_CHECK_MSG(facts[i].block != facts[i - 1].block,
-                    "inconsistent image: two facts in one block");
-    }
-  }
-  if (!image_keys_.insert(facts).second) return false;
-  images_.push_back(Image{std::move(facts)});
-  return true;
+uint32_t HashBlock(uint32_t relation_id, uint32_t block_id) {
+  return static_cast<uint32_t>(
+      SplitMix64((uint64_t{relation_id} << 32) | block_id));
 }
+
+}  // namespace
 
 double Synopsis::LogDbSize() const {
   double log_size = 0.0;
@@ -41,10 +41,10 @@ double Synopsis::LogDbSize() const {
 
 std::vector<double> Synopsis::ImageWeights() const {
   std::vector<double> weights;
-  weights.reserve(images_.size());
-  for (const Image& image : images_) {
+  weights.reserve(NumImages());
+  for (size_t i = 0; i < NumImages(); ++i) {
     double w = 1.0;
-    for (const ImageFact& f : image.facts) {
+    for (const ImageFact& f : image(i)) {
       w /= static_cast<double>(blocks_[f.block].size);
     }
     weights.push_back(w);
@@ -59,15 +59,15 @@ double Synopsis::SymbolicToNaturalFactor() const {
 }
 
 bool Synopsis::ImageContainedIn(size_t i, const Choice& choice) const {
-  CQA_CHECK(i < images_.size());
-  for (const ImageFact& f : images_[i].facts) {
+  CQA_CHECK(i < NumImages());
+  for (const ImageFact& f : image(i)) {
     if (choice[f.block] != f.tid) return false;
   }
   return true;
 }
 
 bool Synopsis::AnyImageContainedIn(const Choice& choice) const {
-  for (size_t i = 0; i < images_.size(); ++i) {
+  for (size_t i = 0; i < NumImages(); ++i) {
     if (ImageContainedIn(i, choice)) return true;
   }
   return false;
@@ -81,17 +81,152 @@ std::string Synopsis::DebugString() const {
     os << blocks_[b].size;
   }
   os << "], images=[";
-  for (size_t i = 0; i < images_.size(); ++i) {
+  for (size_t i = 0; i < NumImages(); ++i) {
     if (i > 0) os << ", ";
     os << '{';
-    for (size_t j = 0; j < images_[i].facts.size(); ++j) {
+    const std::span<const ImageFact> facts = image(i);
+    for (size_t j = 0; j < facts.size(); ++j) {
       if (j > 0) os << ' ';
-      os << images_[i].facts[j].block << ':' << images_[i].facts[j].tid;
+      os << facts[j].block << ':' << facts[j].tid;
     }
     os << '}';
   }
   os << "]}";
   return os.str();
+}
+
+bool CanonicalizeImage(std::vector<GlobalFact>* image) {
+  std::sort(image->begin(), image->end());
+  image->erase(std::unique(image->begin(), image->end()), image->end());
+  for (size_t i = 1; i < image->size(); ++i) {
+    if ((*image)[i].relation_id == (*image)[i - 1].relation_id &&
+        (*image)[i].block_id == (*image)[i - 1].block_id) {
+      return false;
+    }
+  }
+  return true;
+}
+
+uint32_t SynopsisBuilder::AddBlock(Synopsis::Block block) {
+  CQA_CHECK(block.size >= 1);
+  CQA_CHECK_MSG(block_slots_.empty(),
+                "AddBlock on a builder numbering blocks by AddGlobalImage");
+  CQA_CHECK(synopsis_.blocks_.size() < kNoId);
+  synopsis_.blocks_.push_back(block);
+  return static_cast<uint32_t>(synopsis_.blocks_.size() - 1);
+}
+
+bool SynopsisBuilder::AddImage(std::span<const Synopsis::ImageFact> facts) {
+  const size_t begin = synopsis_.facts_.size();
+  synopsis_.facts_.insert(synopsis_.facts_.end(), facts.begin(), facts.end());
+  return CommitImage(begin);
+}
+
+bool SynopsisBuilder::AddGlobalImage(std::span<const GlobalFact> image) {
+  const size_t begin = synopsis_.facts_.size();
+  for (const GlobalFact& g : image) {
+    const uint32_t block = LocalBlock(g.relation_id, g.block_id, g.block_size);
+    synopsis_.facts_.push_back(Synopsis::ImageFact{block, g.tid});
+  }
+  return CommitImage(begin);
+}
+
+Synopsis SynopsisBuilder::Finish() {
+  image_slots_ = std::vector<ImageSlot>();
+  block_slots_ = std::vector<uint32_t>();
+  synopsis_.blocks_.shrink_to_fit();
+  synopsis_.image_offsets_.shrink_to_fit();
+  synopsis_.facts_.shrink_to_fit();
+  Synopsis done = std::move(synopsis_);
+  synopsis_ = Synopsis();
+  return done;
+}
+
+uint32_t SynopsisBuilder::LocalBlock(uint32_t relation_id, uint32_t block_id,
+                                     uint32_t size) {
+  std::vector<Synopsis::Block>& blocks = synopsis_.blocks_;
+  if (block_slots_.empty()) {
+    CQA_CHECK_MSG(blocks.empty(),
+                  "AddGlobalImage on a builder given blocks by AddBlock");
+  }
+  if ((blocks.size() + 1) * 2 > block_slots_.size()) GrowBlockSlots();
+  const size_t mask = block_slots_.size() - 1;
+  for (size_t s = HashBlock(relation_id, block_id) & mask;;
+       s = (s + 1) & mask) {
+    const uint32_t id = block_slots_[s];
+    if (id == kNoId) {
+      CQA_CHECK(size >= 1);
+      blocks.push_back(Synopsis::Block{size, relation_id, block_id});
+      block_slots_[s] = static_cast<uint32_t>(blocks.size() - 1);
+      return block_slots_[s];
+    }
+    if (blocks[id].relation_id == relation_id &&
+        blocks[id].block_id == block_id) {
+      return id;
+    }
+  }
+}
+
+bool SynopsisBuilder::CommitImage(size_t begin) {
+  std::vector<Synopsis::ImageFact>& facts = synopsis_.facts_;
+  const auto first = facts.begin() + static_cast<ptrdiff_t>(begin);
+  CQA_CHECK_MSG(first != facts.end(),
+                "an image must contain at least one fact");
+  std::sort(first, facts.end());
+  facts.erase(std::unique(first, facts.end()), facts.end());
+  const std::span<const Synopsis::ImageFact> image(facts.data() + begin,
+                                                   facts.size() - begin);
+  const std::vector<Synopsis::Block>& blocks = synopsis_.blocks_;
+  for (size_t i = 0; i < image.size(); ++i) {
+    CQA_CHECK(image[i].block < blocks.size());
+    CQA_CHECK(image[i].tid < blocks[image[i].block].size);
+    if (i > 0) {
+      CQA_CHECK_MSG(image[i].block != image[i - 1].block,
+                    "inconsistent image: two facts in one block");
+    }
+  }
+  CQA_CHECK(facts.size() <= UINT32_MAX && NumImages() + 1 < kNoId);
+
+  if ((NumImages() + 1) * 2 > image_slots_.size()) GrowImageSlots();
+  const uint32_t hash = HashImage(image);
+  const size_t mask = image_slots_.size() - 1;
+  size_t s = hash & mask;
+  for (; image_slots_[s].id != kNoId; s = (s + 1) & mask) {
+    if (image_slots_[s].hash == hash &&
+        std::ranges::equal(synopsis_.image(image_slots_[s].id), image)) {
+      facts.resize(begin);  // H is a set: drop the repeat.
+      return false;
+    }
+  }
+  std::vector<uint32_t>& offsets = synopsis_.image_offsets_;
+  if (offsets.empty()) offsets.push_back(0);
+  offsets.push_back(static_cast<uint32_t>(facts.size()));
+  image_slots_[s] = ImageSlot{static_cast<uint32_t>(NumImages() - 1), hash};
+  return true;
+}
+
+void SynopsisBuilder::GrowImageSlots() {
+  std::vector<ImageSlot> old = std::move(image_slots_);
+  image_slots_.assign(std::max(kFirstSlots, old.size() * 2),
+                      ImageSlot{kNoId, 0});
+  const size_t mask = image_slots_.size() - 1;
+  for (const ImageSlot& slot : old) {
+    if (slot.id == kNoId) continue;
+    size_t s = slot.hash & mask;
+    while (image_slots_[s].id != kNoId) s = (s + 1) & mask;
+    image_slots_[s] = slot;
+  }
+}
+
+void SynopsisBuilder::GrowBlockSlots() {
+  const std::vector<Synopsis::Block>& blocks = synopsis_.blocks_;
+  block_slots_.assign(std::max(kFirstSlots, block_slots_.size() * 2), kNoId);
+  const size_t mask = block_slots_.size() - 1;
+  for (uint32_t id = 0; id < blocks.size(); ++id) {
+    size_t s = HashBlock(blocks[id].relation_id, blocks[id].block_id) & mask;
+    while (block_slots_[s] != kNoId) s = (s + 1) & mask;
+    block_slots_[s] = id;
+  }
 }
 
 }  // namespace cqa

@@ -1,18 +1,18 @@
 // The encoded admissible pair (H, B): blocks with cardinalities plus
-// consistent homomorphic images as (block, tid) fact lists. Immutable
-// after construction and therefore safe to share across any number of
+// consistent homomorphic images as (block, tid) fact lists, stored flat.
+// Immutable once built and therefore safe to share across any number of
 // concurrent scheme runs -- samplers and spaces keep their mutable
 // scratch elsewhere (see image_index.h). The serving layer relies on
-// this to serve cached synopses lock-free.
+// this to serve cached synopses lock-free. SynopsisBuilder is the one way
+// to make a synopsis.
 #ifndef CQABENCH_CQA_SYNOPSIS_H_
 #define CQABENCH_CQA_SYNOPSIS_H_
 
 #include <cstdint>
-#include <set>
+#include <initializer_list>
+#include <span>
 #include <string>
 #include <vector>
-
-#include "storage/tuple.h"
 
 namespace cqa {
 
@@ -29,15 +29,26 @@ namespace cqa {
 /// Facts of a block that appear in no image are represented implicitly by
 /// the block cardinality — exactly the integer-identifier encoding
 /// enc(syn) the paper derives from the SQL rewriting Q^rew.
+///
+/// Layout: enc(syn) sorted by image, in CSR form. Three flat arrays hold
+/// everything: `blocks_` (one 12-byte Block per block), `facts_` (every
+/// image's facts back to back, 8 bytes each) and `image_offsets_` (image
+/// i is facts_[image_offsets_[i], image_offsets_[i + 1]), so NumImages()
+/// + 1 entries, or none when there is no image). An image therefore costs
+/// 4 bytes plus 8 per fact, and image(i) is a span into `facts_`. The
+/// hash tables that deduplicate images and map database blocks to local
+/// ones while building live in SynopsisBuilder, which frees them in
+/// Finish(); a Synopsis never holds one.
 class Synopsis {
  public:
   /// A block of B. `size` >= 1; tuple ids within the block are
   /// [0, size). (relation_id, block_id) locate the block in the database's
-  /// BlockIndex (useful for debugging and the noise generator).
+  /// BlockIndex (useful for debugging and the noise generator), which
+  /// keeps relations below 2^32 rows, so 32 bits hold every field.
   struct Block {
-    size_t size = 0;
-    size_t relation_id = 0;
-    size_t block_id = 0;
+    uint32_t size = 0;
+    uint32_t relation_id = 0;
+    uint32_t block_id = 0;
   };
 
   /// One fact of an image: tuple `tid` of local block `block`.
@@ -54,26 +65,22 @@ class Synopsis {
     }
   };
 
-  /// A consistent homomorphic image H_i: facts sorted by block, at most
-  /// one fact per block (consistency), non-empty, duplicate-free.
-  struct Image {
-    std::vector<ImageFact> facts;
-  };
-
-  const std::vector<Block>& blocks() const { return blocks_; }
-  const std::vector<Image>& images() const { return images_; }
+  std::span<const Block> blocks() const { return blocks_; }
   size_t NumBlocks() const { return blocks_.size(); }
-  size_t NumImages() const { return images_.size(); }
-  bool Empty() const { return images_.empty(); }
+  size_t NumImages() const {
+    return image_offsets_.empty() ? 0 : image_offsets_.size() - 1;
+  }
+  bool Empty() const { return NumImages() == 0; }
 
-  /// Registers a block and returns its local index.
-  size_t AddBlock(Block block);
+  /// The consistent homomorphic image H_i: its facts sorted by block, at
+  /// most one fact per block (consistency), non-empty, duplicate-free.
+  std::span<const ImageFact> image(size_t i) const {
+    return {facts_.data() + image_offsets_[i],
+            facts_.data() + image_offsets_[i + 1]};
+  }
 
-  /// Adds an image. `facts` need not be sorted; duplicates are removed.
-  /// Aborts if the image maps two distinct facts into one block (it would
-  /// not be consistent) or references an unknown block/tid.
-  /// Returns false if an identical image was already present (H is a set).
-  bool AddImage(std::vector<ImageFact> facts);
+  /// Every image's facts back to back, image 0 first: Σ_i |H_i| entries.
+  std::span<const ImageFact> facts() const { return facts_; }
 
   /// log10 |db(B)| = Σ log10(block size).
   double LogDbSize() const;
@@ -97,10 +104,101 @@ class Synopsis {
   std::string DebugString() const;
 
  private:
+  friend class SynopsisBuilder;
+
   std::vector<Block> blocks_;
-  std::vector<Image> images_;
-  // Canonical (sorted) images already present, for set semantics.
-  std::set<std::vector<ImageFact>> image_keys_;
+  std::vector<uint32_t> image_offsets_;
+  std::vector<ImageFact> facts_;
+};
+
+/// A homomorphic image's fact in database coordinates: tuple `tid` of
+/// block `block_id` of relation `relation_id`, plus that block's size.
+struct GlobalFact {
+  uint32_t relation_id = 0;
+  uint32_t block_id = 0;
+  uint32_t tid = 0;
+  uint32_t block_size = 0;
+
+  friend bool operator<(const GlobalFact& a, const GlobalFact& b) {
+    if (a.relation_id != b.relation_id) return a.relation_id < b.relation_id;
+    if (a.block_id != b.block_id) return a.block_id < b.block_id;
+    return a.tid < b.tid;
+  }
+  friend bool operator==(const GlobalFact& a, const GlobalFact& b) {
+    return a.relation_id == b.relation_id && a.block_id == b.block_id &&
+           a.tid == b.tid;
+  }
+};
+
+/// Sorts a homomorphic image by (relation, block, tid) and drops repeated
+/// facts (atoms mapped onto one fact). Returns false when the image is
+/// inconsistent: h(Q) |= Σ iff no block receives two distinct tuples.
+bool CanonicalizeImage(std::vector<GlobalFact>* image);
+
+/// Builds one Synopsis, the only way to make one. Blocks come either as
+/// an explicit list (AddBlock: files, hand-built synopses) or from images
+/// in database coordinates (AddGlobalImage: the preprocessing paths, which
+/// number local blocks in order of first appearance); one builder uses
+/// one of the two.
+///
+/// Homomorphisms cost no heap allocation beyond amortized array growth:
+/// each image's facts are written straight to the tail of the packed
+/// fact array and deduplicated there through an open-addressing table of
+/// image ids (H is a set), and database blocks map to local ones through
+/// a second open-addressing table of block ids. Both tables are freed,
+/// and every array trimmed to its size, by Finish().
+class SynopsisBuilder {
+ public:
+  SynopsisBuilder() = default;
+
+  size_t NumBlocks() const { return synopsis_.NumBlocks(); }
+  size_t NumImages() const { return synopsis_.NumImages(); }
+  std::span<const Synopsis::Block> blocks() const {
+    return synopsis_.blocks();
+  }
+
+  /// Appends a block and returns its local index. Aborts if its size is 0.
+  uint32_t AddBlock(Synopsis::Block block);
+
+  /// Adds an image. `facts` need not be sorted; duplicates are removed.
+  /// Aborts if the image maps two distinct facts into one block (it would
+  /// not be consistent) or references an unknown block/tid.
+  /// Returns false if an identical image was already present (H is a set).
+  bool AddImage(std::span<const Synopsis::ImageFact> facts);
+  bool AddImage(std::initializer_list<Synopsis::ImageFact> facts) {
+    return AddImage(std::span(facts.begin(), facts.size()));
+  }
+
+  /// Adds a canonical image (see CanonicalizeImage) given in database
+  /// coordinates. Each (relation, block) not yet in the synopsis becomes
+  /// the next local block, in the image's order. Returns false if an
+  /// identical image was already present.
+  bool AddGlobalImage(std::span<const GlobalFact> image);
+
+  /// Frees the build-time tables, trims every array to its size and
+  /// returns the synopsis. The builder is empty afterwards.
+  Synopsis Finish();
+
+ private:
+  // Local block of (relation, block), added with `size` on first sight.
+  uint32_t LocalBlock(uint32_t relation_id, uint32_t block_id,
+                      uint32_t size);
+  // Sorts, dedups and checks the facts appended after `begin`, then keeps
+  // them as a new image unless an identical one exists.
+  bool CommitImage(size_t begin);
+  void GrowImageSlots();
+  void GrowBlockSlots();
+
+  // Image-table slot: an image id plus its hash's low 32 bits, so most
+  // mismatches are rejected without touching the packed facts.
+  struct ImageSlot {
+    uint32_t id;
+    uint32_t hash;
+  };
+
+  Synopsis synopsis_;
+  std::vector<ImageSlot> image_slots_;   // Power-of-two size, or empty.
+  std::vector<uint32_t> block_slots_;    // Local block ids, likewise.
 };
 
 }  // namespace cqa

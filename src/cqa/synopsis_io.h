@@ -4,6 +4,7 @@
 #ifndef CQABENCH_CQA_SYNOPSIS_IO_H_
 #define CQABENCH_CQA_SYNOPSIS_IO_H_
 
+#include <istream>
 #include <string>
 #include <vector>
 
@@ -31,8 +32,16 @@ bool WriteSynopses(const PreprocessResult& preprocessed,
 
 /// Reads a synopsis set back. Only the answers and their (H, B) pairs are
 /// persisted (the block index belongs to the database, not the encoding).
+/// Every record must end with '|', every number be a complete unsigned
+/// 32-bit decimal, every block size at least 1, and every image a
+/// consistent set of facts within its answer's blocks; anything else
+/// fails with "<path>:<line>: <reason>" and leaves `out` partly filled.
 bool ReadSynopses(const std::string& path, std::vector<AnswerSynopsis>* out,
                   std::string* error);
+
+/// The same, reading `in`; `path` names it in error messages.
+bool ReadSynopses(std::istream& in, const std::string& path,
+                  std::vector<AnswerSynopsis>* out, std::string* error);
 
 }  // namespace cqa
 

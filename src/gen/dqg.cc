@@ -6,6 +6,7 @@
 #include <unordered_set>
 
 #include "common/macros.h"
+#include "cqa/synopsis.h"
 #include "storage/block_index.h"
 
 namespace cqa {
@@ -28,26 +29,23 @@ std::vector<DqgResult> GenerateBalancedQueries(
   // globally distinct images (the balance denominator, independent of the
   // projection).
   const std::shared_ptr<const BlockIndex> block_index = db.block_index();
-  std::set<std::vector<std::tuple<size_t, size_t, size_t>>> distinct_images;
+  std::set<std::vector<GlobalFact>> distinct_images;
   std::vector<HomRecord> homs;
   std::unordered_set<Tuple, TupleHash> distinct_assignments;
   CqEvaluator evaluator(&db, cache);
+  std::vector<GlobalFact> image;
   evaluator.ForEachHomomorphism(q, [&](const Homomorphism& h) {
-    std::vector<std::tuple<size_t, size_t, size_t>> image;
+    image.clear();
     for (const FactRef& f : h.image) {
       const BlockAnnotation ann =
           block_index->relation(f.relation_id).annotation(f.row);
-      image.emplace_back(f.relation_id, ann.block_id, ann.tuple_id);
+      image.push_back(GlobalFact{static_cast<uint32_t>(f.relation_id),
+                                 static_cast<uint32_t>(ann.block_id),
+                                 static_cast<uint32_t>(ann.tuple_id),
+                                 static_cast<uint32_t>(ann.block_size)});
     }
-    std::sort(image.begin(), image.end());
-    image.erase(std::unique(image.begin(), image.end()), image.end());
-    for (size_t i = 1; i < image.size(); ++i) {
-      if (std::get<0>(image[i]) == std::get<0>(image[i - 1]) &&
-          std::get<1>(image[i]) == std::get<1>(image[i - 1])) {
-        return true;  // Inconsistent image.
-      }
-    }
-    distinct_images.insert(std::move(image));
+    if (!CanonicalizeImage(&image)) return true;  // Inconsistent image.
+    distinct_images.insert(image);
     if (distinct_assignments.insert(h.assignment).second) {
       homs.push_back(HomRecord{h.assignment});
     }

@@ -11,12 +11,12 @@ namespace {
 using testing::MakeRandomSynopsis;
 
 Synopsis FixtureSynopsis() {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{3, 0, 1});
-  s.AddImage({{0, 0}});
-  s.AddImage({{0, 1}, {1, 2}});
-  return s;
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{3, 0, 1});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{0, 1}, {1, 2}});
+  return builder.Finish();
 }
 
 TEST(BlockDnfTest, TranslationShape) {

@@ -13,12 +13,12 @@ namespace {
 using testing::MakeRandomSynopsis;
 
 Synopsis FixtureSynopsis() {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{3, 0, 1});
-  s.AddImage({{0, 0}});
-  s.AddImage({{0, 1}, {1, 2}});
-  return s;
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{3, 0, 1});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{0, 1}, {1, 2}});
+  return builder.Finish();
 }
 
 TEST(CoverageTest, EstimatesUnionSize) {
@@ -38,10 +38,11 @@ TEST(CoverageTest, StepBudgetIsLinearInImageCount) {
   // synopsis must dwarf a small-H one at equal (ε, δ).
   Rng gen(9);
   Synopsis small = MakeRandomSynopsis(gen, 4, 3, 2, 2);
-  Synopsis big;
-  big.AddBlock(Synopsis::Block{40, 0, 0});
-  big.AddBlock(Synopsis::Block{40, 0, 1});
-  for (uint32_t i = 0; i < 40; ++i) big.AddImage({{0, i}, {1, i}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{40, 0, 0});
+  builder.AddBlock(Synopsis::Block{40, 0, 1});
+  for (uint32_t i = 0; i < 40; ++i) builder.AddImage({{0, i}, {1, i}});
+  const Synopsis big = builder.Finish();
   SymbolicSpace small_space(&small);
   SymbolicSpace big_space(&big);
   Rng rng(2);
@@ -69,9 +70,10 @@ INSTANTIATE_TEST_SUITE_P(RandomSynopses, CoveragePropertyTest,
                          ::testing::Range(0, 10));
 
 TEST(CoverageTest, DeadlineCausesTimeout) {
-  Synopsis big;
-  big.AddBlock(Synopsis::Block{50, 0, 0});
-  for (uint32_t i = 0; i < 50; ++i) big.AddImage({{0, i}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{50, 0, 0});
+  for (uint32_t i = 0; i < 50; ++i) builder.AddImage({{0, i}});
+  const Synopsis big = builder.Finish();
   SymbolicSpace space(&big);
   Rng rng(3);
   CoverageResult r = SelfAdjustingCoverage(space, 0.01, 0.01, rng,

@@ -60,18 +60,20 @@ TEST(DistributionTest, NaturalSamplerDrawsUniformDatabases) {
   // The natural space of a 2x3 block structure has 6 databases; the
   // sampler's internal choice must be uniform. We observe it through the
   // indicator pattern across a synopsis whose images distinguish all 6.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{3, 0, 1});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{3, 0, 1});
+  const Synopsis s = builder.Finish();
   // One image per database: indicator = 1 iff that database is drawn.
   // Instead of instrumenting the sampler, test each singleton image's hit
   // frequency: P(image {(0,a),(1,b)} ⊆ I) = 1/6 for each (a, b).
   for (uint32_t a = 0; a < 2; ++a) {
     for (uint32_t b = 0; b < 3; ++b) {
-      Synopsis single;
-      single.AddBlock(Synopsis::Block{2, 0, 0});
-      single.AddBlock(Synopsis::Block{3, 0, 1});
-      single.AddImage({{0, a}, {1, b}});
+      SynopsisBuilder builder;
+      builder.AddBlock(Synopsis::Block{2, 0, 0});
+      builder.AddBlock(Synopsis::Block{3, 0, 1});
+      builder.AddImage({{0, a}, {1, b}});
+      const Synopsis single = builder.Finish();
       NaturalSampler sampler(&single);
       Rng rng(10 + a * 3 + b);
       size_t hits = 0;
@@ -89,11 +91,12 @@ TEST(DistributionTest, NaturalSamplerDrawsUniformDatabases) {
 TEST(DistributionTest, SymbolicSpaceElementIsUniform) {
   // S• for this synopsis: image 0 pins block 0 (3 dbs), image 1 pins both
   // blocks (1 db) -> |S•| = 4 elements, each with probability 1/4.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{3, 0, 1});
-  s.AddImage({{0, 0}});
-  s.AddImage({{0, 1}, {1, 2}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{3, 0, 1});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{0, 1}, {1, 2}});
+  const Synopsis s = builder.Finish();
   SymbolicSpace space(&s);
   Rng rng(3);
   std::map<std::pair<size_t, std::vector<uint32_t>>, size_t> counts;

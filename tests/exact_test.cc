@@ -45,11 +45,12 @@ TEST(ExactTest, CertainAnswersSemantics) {
 }
 
 TEST(ExactTest, EnumerationOnKnownSynopsis) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{3, 0, 1});
-  s.AddImage({{0, 0}});          // Covers 3 of 6 databases.
-  s.AddImage({{0, 1}, {1, 2}});  // Covers 1 more.
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{3, 0, 1});
+  builder.AddImage({{0, 0}});          // Covers 3 of 6 databases.
+  builder.AddImage({{0, 1}, {1, 2}});  // Covers 1 more.
+  const Synopsis s = builder.Finish();
   std::optional<double> r = ExactRatioByEnumeration(s);
   ASSERT_TRUE(r.has_value());
   EXPECT_NEAR(*r, 4.0 / 6.0, 1e-12);
@@ -74,28 +75,31 @@ TEST(ExactTest, EmptySynopsisHasZeroRatio) {
 }
 
 TEST(ExactTest, FullCoverageImageGivesRatioOne) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{3, 0, 0});
-  s.AddImage({{0, 0}});
-  s.AddImage({{0, 1}});
-  s.AddImage({{0, 2}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{3, 0, 0});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{0, 1}});
+  builder.AddImage({{0, 2}});
+  const Synopsis s = builder.Finish();
   EXPECT_NEAR(*ExactRatioByEnumeration(s), 1.0, 1e-12);
   EXPECT_NEAR(*ExactRatioInclusionExclusion(s), 1.0, 1e-12);
 }
 
 TEST(ExactTest, BudgetsAreRespected) {
-  Synopsis s;
-  for (int b = 0; b < 30; ++b) s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddImage({{0, 0}});
+  SynopsisBuilder builder;
+  for (int b = 0; b < 30; ++b) builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddImage({{0, 0}});
+  const Synopsis s = builder.Finish();
   // 2^30 databases exceed the default enumeration budget.
   EXPECT_EQ(ExactRatioByEnumeration(s), std::nullopt);
   // But inclusion-exclusion handles it (1 image).
   EXPECT_NEAR(*ExactRatioInclusionExclusion(s), 0.5, 1e-12);
   // And a synopsis with too many images trips the IE budget.
-  Synopsis many;
-  many.AddBlock(Synopsis::Block{2, 0, 0});
-  many.AddBlock(Synopsis::Block{30, 0, 1});
-  for (uint32_t i = 0; i < 25; ++i) many.AddImage({{1, i}});
+  SynopsisBuilder many_builder;
+  many_builder.AddBlock(Synopsis::Block{2, 0, 0});
+  many_builder.AddBlock(Synopsis::Block{30, 0, 1});
+  for (uint32_t i = 0; i < 25; ++i) many_builder.AddImage({{1, i}});
+  const Synopsis many = many_builder.Finish();
   EXPECT_EQ(ExactRatioInclusionExclusion(many, /*max_images=*/22),
             std::nullopt);
 }
@@ -115,14 +119,15 @@ TEST(ExactTest, DecomposedMatchesEnumerationOnRandomSynopses) {
 TEST(ExactTest, DecompositionScalesToManyIndependentImages) {
   // 40 disjoint (block, image) pairs: far beyond the monolithic
   // inclusion-exclusion budget, trivial after decomposition.
-  Synopsis s;
+  SynopsisBuilder builder;
   double expected_none = 1.0;
   for (uint32_t b = 0; b < 40; ++b) {
-    size_t size = 2 + b % 3;
-    s.AddBlock(Synopsis::Block{size, 0, b});
-    s.AddImage({{b, 0}});
+    uint32_t size = 2 + b % 3;
+    builder.AddBlock(Synopsis::Block{size, 0, b});
+    builder.AddImage({{b, 0}});
     expected_none *= 1.0 - 1.0 / static_cast<double>(size);
   }
+  const Synopsis s = builder.Finish();
   EXPECT_EQ(ExactRatioInclusionExclusion(s), std::nullopt);
   std::optional<double> r = ExactRatioDecomposed(s);
   ASSERT_TRUE(r.has_value());
@@ -131,10 +136,11 @@ TEST(ExactTest, DecompositionScalesToManyIndependentImages) {
 
 TEST(ExactTest, DecomposedRespectsComponentBudget) {
   // One component with 30 overlapping images exceeds the budget.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{31, 0, 1});
-  for (uint32_t i = 0; i < 30; ++i) s.AddImage({{0, 0}, {1, i}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{31, 0, 1});
+  for (uint32_t i = 0; i < 30; ++i) builder.AddImage({{0, 0}, {1, i}});
+  const Synopsis s = builder.Finish();
   EXPECT_EQ(ExactRatioDecomposed(s, /*max_component_images=*/22),
             std::nullopt);
 }

@@ -27,7 +27,7 @@ const double kSize1Shares[] = {0.0, 0.25, 0.5, 0.75, 1.0};
 
 /// The largest block index among image i's facts.
 uint32_t LastBlock(const Synopsis& s, size_t i) {
-  return s.images()[i].facts.back().block;
+  return s.image(i).back().block;
 }
 
 /// Natural over every block: draw block b, then stop as soon as some
@@ -54,7 +54,7 @@ size_t RefSampleElement(const SymbolicSpace& space, const TidDigitPlan& plan,
   for (uint32_t b = 0; b < s.NumBlocks(); ++b) {
     (*choice)[b] = plan.Next(rng, b, &stream);
   }
-  for (const Synopsis::ImageFact& f : s.images()[i].facts) {
+  for (const Synopsis::ImageFact& f : s.image(i)) {
     (*choice)[f.block] = f.tid;
   }
   return i;

@@ -27,7 +27,7 @@ std::vector<uint32_t> CertainImages(const Synopsis& s) {
   std::vector<uint32_t> certain;
   for (uint32_t i = 0; i < s.NumImages(); ++i) {
     bool all_size1 = true;
-    for (const Synopsis::ImageFact& f : s.images()[i].facts) {
+    for (const Synopsis::ImageFact& f : s.image(i)) {
       all_size1 = all_size1 && s.blocks()[f.block].size == 1;
     }
     if (all_size1) certain.push_back(i);
@@ -93,11 +93,12 @@ TEST(ImageIndexTest, GenerationStampsIsolateConsecutiveDraws) {
 TEST(ImageIndexTest, EarlyStopReturnsTrueAndHaltsScan) {
   // A one-fact image completes as soon as its fact is added; on_complete
   // returning true must stop the scan and surface the stop to the caller.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{2, 0, 1});
-  s.AddImage({{0, 0}});
-  s.AddImage({{0, 0}, {1, 1}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{2, 0, 1});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{0, 0}, {1, 1}});
+  const Synopsis s = builder.Finish();
   ImageIndex index(&s);
   size_t calls = 0;
   bool stopped = index.ForEachCompletedImage({0, 1}, [&](uint32_t image) {
@@ -113,12 +114,13 @@ TEST(TidDigitPlanTest, DigitsAreUniformPerBlock) {
   // The packed extraction must stay uniform within every block even when
   // many tids come out of one engine word: 3 * 4 * 5 * 1 * 16 fits in far
   // less than 32 bits, so one word feeds a whole pass.
-  Synopsis s;
-  const size_t kSizes[] = {3, 4, 5, 1, 16};
-  for (size_t b = 0; b < 5; ++b) {
-    s.AddBlock(Synopsis::Block{kSizes[b], 0, b});
+  SynopsisBuilder builder;
+  const uint32_t kSizes[] = {3, 4, 5, 1, 16};
+  for (uint32_t b = 0; b < 5; ++b) {
+    builder.AddBlock(Synopsis::Block{kSizes[b], 0, b});
   }
-  s.AddImage({{0, 0}});
+  builder.AddImage({{0, 0}});
+  const Synopsis s = builder.Finish();
   TidDigitPlan plan(&s);
   Rng rng(4242);
   const int kDraws = 60000;
@@ -146,11 +148,12 @@ TEST(TidDigitPlanTest, DigitsAreUniformPerBlock) {
 TEST(ImageIndexTest, IncrementalAddFactCompletesAtLastBlock) {
   // Feeding facts block by block (the indexed natural sampler's pattern)
   // completes an image exactly when its final fact arrives.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{3, 0, 1});
-  s.AddBlock(Synopsis::Block{2, 0, 2});
-  s.AddImage({{0, 1}, {2, 0}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{3, 0, 1});
+  builder.AddBlock(Synopsis::Block{2, 0, 2});
+  builder.AddImage({{0, 1}, {2, 0}});
+  const Synopsis s = builder.Finish();
   ImageIndex index(&s);
   index.BeginDraw();
   auto never = [](uint32_t) { return true; };
@@ -162,10 +165,11 @@ TEST(ImageIndexTest, IncrementalAddFactCompletesAtLastBlock) {
 TEST(ImageIndexTest, AddFactOnSize1BlockIsNoOp) {
   // A size-1 block's fact is in every database, so no list holds it: the
   // image below completes on its one conflict fact alone.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{1, 0, 0});
-  s.AddBlock(Synopsis::Block{2, 0, 1});
-  s.AddImage({{0, 0}, {1, 1}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{1, 0, 0});
+  builder.AddBlock(Synopsis::Block{2, 0, 1});
+  builder.AddImage({{0, 0}, {1, 1}});
+  const Synopsis s = builder.Finish();
   ImageIndex index(&s);
   index.BeginDraw();
   size_t calls = 0;
@@ -182,13 +186,14 @@ TEST(ImageIndexTest, AddFactOnSize1BlockIsNoOp) {
 TEST(ImageIndexTest, CertainImageIsReportedOnEveryChoice) {
   // Image 1 lies wholly in the size-1 block 1: every database contains
   // it. Check all six databases against the naive scan.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{1, 0, 1});
-  s.AddBlock(Synopsis::Block{3, 0, 2});
-  s.AddImage({{0, 1}, {2, 0}});
-  s.AddImage({{1, 0}});
-  s.AddImage({{0, 0}, {1, 0}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{1, 0, 1});
+  builder.AddBlock(Synopsis::Block{3, 0, 2});
+  builder.AddImage({{0, 1}, {2, 0}});
+  builder.AddImage({{1, 0}});
+  builder.AddImage({{0, 0}, {1, 0}});
+  const Synopsis s = builder.Finish();
   ImageIndex index(&s);
   EXPECT_EQ(index.num_certain_images(), 1u);
   EXPECT_EQ(index.first_certain_image(), 1u);

@@ -55,9 +55,10 @@ TEST(IndexedNaturalSamplerTest, OutputIsZeroOrOne) {
 }
 
 TEST(IndexedNaturalSamplerTest, SingleImageSingleBlock) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{4, 0, 0});
-  s.AddImage({{0, 2}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{4, 0, 0});
+  builder.AddImage({{0, 2}});
+  const Synopsis s = builder.Finish();
   IndexedNaturalSampler sampler(&s);
   Rng rng(6);
   double mean = EmpiricalMean([&] { return sampler.Draw(rng); }, 40000);
@@ -65,9 +66,10 @@ TEST(IndexedNaturalSamplerTest, SingleImageSingleBlock) {
 }
 
 TEST(IndexedNaturalSamplerTest, FullCoverageAlwaysOne) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{3, 0, 0});
-  for (uint32_t t = 0; t < 3; ++t) s.AddImage({{0, t}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{3, 0, 0});
+  for (uint32_t t = 0; t < 3; ++t) builder.AddImage({{0, t}});
+  const Synopsis s = builder.Finish();
   IndexedNaturalSampler sampler(&s);
   Rng rng(7);
   for (int i = 0; i < 100; ++i) EXPECT_DOUBLE_EQ(sampler.Draw(rng), 1.0);

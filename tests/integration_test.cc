@@ -108,7 +108,7 @@ TEST(IntegrationTest, FrequenciesSurviveNoiseMonotonicity) {
     // An answer witnessed by a single fact in a single block of size s
     // has frequency exactly 1/s <= 1/2 after p = 1 noise.
     if (as.synopsis.NumImages() == 1 &&
-        as.synopsis.images()[0].facts.size() == 1) {
+        as.synopsis.image(0).size() == 1) {
       size_t s = as.synopsis.blocks()[0].size;
       EXPECT_GE(s, 2u);
       EXPECT_DOUBLE_EQ(exact, 1.0 / static_cast<double>(s));

@@ -22,12 +22,12 @@ using testing::EmployeeFixture;
 /// Two blocks (sizes 2 and 3), two images: H_0 = {(0,0)}, H_1 = {(0,1),
 /// (1,2)}. Weights: w_0 = 1/2, w_1 = 1/6.
 Synopsis SmallSynopsis() {
-  Synopsis synopsis;
-  synopsis.AddBlock(Synopsis::Block{2, 0, 0});
-  synopsis.AddBlock(Synopsis::Block{3, 0, 1});
-  synopsis.AddImage({{0, 0}});
-  synopsis.AddImage({{0, 1}, {1, 2}});
-  return synopsis;
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{3, 0, 1});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{0, 1}, {1, 2}});
+  return builder.Finish();
 }
 
 // ---------------------------------------------------------------------------
@@ -46,15 +46,15 @@ TEST(InvariantsTest, WellFormedSynopsisPasses) {
   }
 }
 
-// Synopsis's own constructor checks (CQA_CHECK, active in every build)
+// SynopsisBuilder's own checks (CQA_CHECK, active in every build)
 // already refuse empty blocks, so CheckSynopsis's "empty block" branch is
 // pure defense-in-depth against in-memory corruption. Verify the layering:
 // the API aborts before an invalid synopsis can ever reach the audit.
 TEST(InvariantsTest, ApiRejectsEmptyBlockBeforeAuditRuns) {
   EXPECT_DEATH(
       {
-        Synopsis synopsis;
-        synopsis.AddBlock(Synopsis::Block{0, 0, 0});
+        SynopsisBuilder builder;
+        builder.AddBlock(Synopsis::Block{0, 0, 0});
       },
       "block.size >= 1");
 }
@@ -291,7 +291,7 @@ TEST(InvariantsDeathTest, CorruptSamplerStateIsCaughtOnTheDrawPath) {
   Rng rng(3);
   Synopsis::Choice choice;
   size_t i = space.SampleElement(rng, &choice);
-  choice[synopsis.images()[i].facts[0].block] ^= 1u;  // Unpin one fact.
+  choice[synopsis.image(i)[0].block] ^= 1u;  // Unpin one fact.
   EXPECT_DEATH(CQA_AUDIT(audit::CheckSampledElement, space, i, choice),
                "CQA_AUDIT failed");
 }

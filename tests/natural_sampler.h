@@ -4,6 +4,7 @@
 #ifndef CQABENCH_TESTS_NATURAL_SAMPLER_H_
 #define CQABENCH_TESTS_NATURAL_SAMPLER_H_
 
+#include <span>
 #include <vector>
 
 #include "common/macros.h"
@@ -27,7 +28,7 @@ class NaturalSampler : public Sampler {
   }
 
   double Draw(Rng& rng) override {
-    const std::vector<Synopsis::Block>& blocks = synopsis_->blocks();
+    const std::span<const Synopsis::Block> blocks = synopsis_->blocks();
     scratch_.resize(blocks.size());
     for (size_t b = 0; b < blocks.size(); ++b) {
       scratch_[b] = static_cast<uint32_t>(rng.UniformIndex(blocks[b].size));

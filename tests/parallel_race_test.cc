@@ -204,9 +204,9 @@ std::string DescribeSynopses(const PreprocessResult& pre) {
       out += " b" + std::to_string(b.relation_id) + "." +
              std::to_string(b.block_id) + "/" + std::to_string(b.size);
     }
-    for (const Synopsis::Image& image : as.synopsis.images()) {
+    for (size_t i = 0; i < as.synopsis.NumImages(); ++i) {
       out += " |";
-      for (const Synopsis::ImageFact& f : image.facts) {
+      for (const Synopsis::ImageFact& f : as.synopsis.image(i)) {
         out += " " + std::to_string(f.block) + "." + std::to_string(f.tid);
       }
     }

@@ -82,10 +82,11 @@ TEST(ParallelMonteCarloTest, SchemesAcceptThreadCount) {
 }
 
 TEST(ParallelMonteCarloTest, DeadlinePropagatesAcrossThreads) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{50, 0, 0});
-  s.AddBlock(Synopsis::Block{50, 0, 1});
-  for (uint32_t i = 0; i < 50; ++i) s.AddImage({{0, i}, {1, i}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{50, 0, 0});
+  builder.AddBlock(Synopsis::Block{50, 0, 1});
+  for (uint32_t i = 0; i < 50; ++i) builder.AddImage({{0, i}, {1, i}});
+  const Synopsis s = builder.Finish();
   SymbolicSpace space(&s);
   Rng rng(10);
   MonteCarloResult r = ParallelMonteCarloEstimate(

@@ -47,9 +47,9 @@ TEST(PreprocessTest, SameFactTwiceIsConsistent) {
   ASSERT_EQ(result.NumAnswers(), 1u);
   // Images collapse to single facts: 4 facts -> 4 images.
   EXPECT_EQ(result.answers()[0].synopsis.NumImages(), 4u);
-  for (const Synopsis::Image& image :
-       result.answers()[0].synopsis.images()) {
-    EXPECT_EQ(image.facts.size(), 1u);
+  const Synopsis& synopsis = result.answers()[0].synopsis;
+  for (size_t i = 0; i < synopsis.NumImages(); ++i) {
+    EXPECT_EQ(synopsis.image(i).size(), 1u);
   }
 }
 

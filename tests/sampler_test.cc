@@ -22,12 +22,12 @@ constexpr size_t kDraws = 60000;
 constexpr double kTol = 0.012;
 
 Synopsis FixtureSynopsis() {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{3, 0, 1});
-  s.AddImage({{0, 0}});
-  s.AddImage({{0, 1}, {1, 2}});
-  return s;
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{2, 0, 0});
+  builder.AddBlock(Synopsis::Block{3, 0, 1});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{0, 1}, {1, 2}});
+  return builder.Finish();
 }
 
 TEST(NaturalSamplerTest, ExpectationIsRatio) {
@@ -182,11 +182,12 @@ TEST(DrawBatchStreamTest, AllSamplersMatchRepeatedDraw) {
 TEST(SamplerFoldTest, AllSize1SynopsisDrawCost) {
   // One database only: Natural needs no entropy at all, and KL/KLM spend
   // exactly the alias word.
-  Synopsis s;
-  for (size_t b = 0; b < 4; ++b) s.AddBlock(Synopsis::Block{1, 0, b});
-  s.AddImage({{0, 0}});
-  s.AddImage({{1, 0}, {2, 0}});
-  s.AddImage({{3, 0}});
+  SynopsisBuilder builder;
+  for (uint32_t b = 0; b < 4; ++b) builder.AddBlock(Synopsis::Block{1, 0, b});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{1, 0}, {2, 0}});
+  builder.AddImage({{3, 0}});
+  const Synopsis s = builder.Finish();
   SymbolicSpace space(&s);
   IndexedNaturalSampler natural(&s);
   KlSampler kl(&space);
@@ -211,14 +212,15 @@ TEST(SamplerFoldTest, CertainImageRejectsEveryKlIndexAboveIt) {
   // Image 1 lies in every database. KL must reject every drawn i > 1, and
   // KLM must count image 1 on every draw. A lockstep copy of the stream
   // replays SampleElement to learn each draw's i and choice.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{3, 0, 0});
-  s.AddBlock(Synopsis::Block{1, 0, 1});
-  s.AddBlock(Synopsis::Block{2, 0, 2});
-  s.AddImage({{0, 2}, {2, 1}});
-  s.AddImage({{1, 0}});
-  s.AddImage({{0, 0}});
-  s.AddImage({{0, 1}, {1, 0}, {2, 0}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{3, 0, 0});
+  builder.AddBlock(Synopsis::Block{1, 0, 1});
+  builder.AddBlock(Synopsis::Block{2, 0, 2});
+  builder.AddImage({{0, 2}, {2, 1}});
+  builder.AddImage({{1, 0}});
+  builder.AddImage({{0, 0}});
+  builder.AddImage({{0, 1}, {1, 0}, {2, 0}});
+  const Synopsis s = builder.Finish();
   SymbolicSpace space(&s);
   KlSampler kl(&space);
   KlmSampler klm(&space);

@@ -83,9 +83,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(SchemesTest, SingleImageFullBlockRatio) {
   // One image pinning the only block of size 4: R = 1/4.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{4, 0, 0});
-  s.AddImage({{0, 2}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{4, 0, 0});
+  builder.AddImage({{0, 2}});
+  const Synopsis s = builder.Finish();
   ApxParams params;
   Rng rng(3);
   for (SchemeKind kind : AllSchemeKinds()) {
@@ -97,9 +98,10 @@ TEST(SchemesTest, SingleImageFullBlockRatio) {
 
 TEST(SchemesTest, CertainAnswerRatioOne) {
   // Images covering every member of a block: R = 1 (a certain answer).
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{3, 0, 0});
-  for (uint32_t i = 0; i < 3; ++i) s.AddImage({{0, i}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{3, 0, 0});
+  for (uint32_t i = 0; i < 3; ++i) builder.AddImage({{0, i}});
+  const Synopsis s = builder.Finish();
   ApxParams params;
   Rng rng(4);
   for (SchemeKind kind : AllSchemeKinds()) {
@@ -112,10 +114,11 @@ TEST(SchemesTest, CertainAnswerRatioOne) {
 TEST(SchemesTest, DeadlinePropagates) {
   // A synopsis with many images and a zero deadline must time out for
   // every scheme.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{50, 0, 0});
-  s.AddBlock(Synopsis::Block{50, 0, 1});
-  for (uint32_t i = 0; i < 50; ++i) s.AddImage({{0, i}, {1, i}});
+  SynopsisBuilder builder;
+  builder.AddBlock(Synopsis::Block{50, 0, 0});
+  builder.AddBlock(Synopsis::Block{50, 0, 1});
+  for (uint32_t i = 0; i < 50; ++i) builder.AddImage({{0, i}, {1, i}});
+  const Synopsis s = builder.Finish();
   ApxParams params;
   params.epsilon = 0.01;
   Rng rng(5);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <vector>
 
 #include "test_util.h"
 
@@ -11,12 +13,12 @@ namespace {
 
 Synopsis TwoBlockSynopsis() {
   // Blocks of sizes 2 and 3; images {0:0}, {0:1, 1:2}.
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{3, 0, 1});
-  s.AddImage({{0, 0}});
-  s.AddImage({{0, 1}, {1, 2}});
-  return s;
+  SynopsisBuilder b;
+  b.AddBlock(Synopsis::Block{2, 0, 0});
+  b.AddBlock(Synopsis::Block{3, 0, 1});
+  b.AddImage({{0, 0}});
+  b.AddImage({{0, 1}, {1, 2}});
+  return b.Finish();
 }
 
 TEST(SynopsisTest, BlockAndImageCounts) {
@@ -55,40 +57,129 @@ TEST(SynopsisTest, ImageContainment) {
 }
 
 TEST(SynopsisTest, ImagesAreASet) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  EXPECT_TRUE(s.AddImage({{0, 0}}));
-  EXPECT_FALSE(s.AddImage({{0, 0}}));  // Duplicate.
-  EXPECT_EQ(s.NumImages(), 1u);
+  SynopsisBuilder b;
+  b.AddBlock(Synopsis::Block{2, 0, 0});
+  EXPECT_TRUE(b.AddImage({{0, 0}}));
+  EXPECT_FALSE(b.AddImage({{0, 0}}));  // Duplicate.
+  EXPECT_EQ(b.NumImages(), 1u);
+  EXPECT_EQ(b.Finish().facts().size(), 1u);  // The repeat left no facts.
 }
 
 TEST(SynopsisTest, ImageFactsAreSortedAndDeduped) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  s.AddBlock(Synopsis::Block{2, 0, 1});
-  s.AddImage({{1, 0}, {0, 1}, {1, 0}});
-  const Synopsis::Image& image = s.images()[0];
-  ASSERT_EQ(image.facts.size(), 2u);
-  EXPECT_EQ(image.facts[0].block, 0u);
-  EXPECT_EQ(image.facts[1].block, 1u);
+  SynopsisBuilder b;
+  b.AddBlock(Synopsis::Block{2, 0, 0});
+  b.AddBlock(Synopsis::Block{2, 0, 1});
+  b.AddImage({{1, 0}, {0, 1}, {1, 0}});
+  const Synopsis s = b.Finish();
+  const std::span<const Synopsis::ImageFact> image = s.image(0);
+  ASSERT_EQ(image.size(), 2u);
+  EXPECT_EQ(image[0].block, 0u);
+  EXPECT_EQ(image[1].block, 1u);
+}
+
+// enc(syn) in CSR form: the images tile one packed fact array in order.
+TEST(SynopsisTest, ImagesAreSpansOverOnePackedArray) {
+  const Synopsis s = TwoBlockSynopsis();
+  ASSERT_EQ(s.facts().size(), 3u);
+  EXPECT_EQ(s.image(0).data(), s.facts().data());
+  EXPECT_EQ(s.image(1).data(), s.facts().data() + 1);
+  EXPECT_EQ(s.image(1).size(), 2u);
+  EXPECT_EQ(s.facts()[2], (Synopsis::ImageFact{1, 2}));
+}
+
+TEST(SynopsisTest, FinishEmptiesTheBuilder) {
+  SynopsisBuilder b;
+  b.AddBlock(Synopsis::Block{2, 0, 0});
+  b.AddImage({{0, 1}});
+  const Synopsis first = b.Finish();
+  EXPECT_EQ(b.NumBlocks(), 0u);
+  EXPECT_EQ(b.NumImages(), 0u);
+  b.AddBlock(Synopsis::Block{3, 0, 0});
+  EXPECT_TRUE(b.AddImage({{0, 1}}));  // Not a repeat of `first`'s image.
+  EXPECT_EQ(first.NumImages(), 1u);
+  EXPECT_EQ(b.Finish().blocks()[0].size, 3u);
+}
+
+// The dedup table must survive growth: many distinct images, each added
+// twice, keep exactly one copy in insertion order.
+TEST(SynopsisTest, DedupHoldsAcrossTableGrowth) {
+  SynopsisBuilder b;
+  b.AddBlock(Synopsis::Block{1000, 0, 0});
+  b.AddBlock(Synopsis::Block{7, 0, 1});
+  for (uint32_t t = 0; t < 1000; ++t) {
+    EXPECT_TRUE(b.AddImage({{0, t}, {1, t % 7}}));
+  }
+  for (uint32_t t = 0; t < 1000; ++t) {
+    EXPECT_FALSE(b.AddImage({{1, t % 7}, {0, t}}));
+  }
+  const Synopsis s = b.Finish();
+  ASSERT_EQ(s.NumImages(), 1000u);
+  for (uint32_t t = 0; t < 1000; ++t) EXPECT_EQ(s.image(t)[0].tid, t);
+}
+
+// Database coordinates: a (relation, block) becomes the next local block
+// on first sight, in the image's order, and keeps its number after.
+TEST(SynopsisTest, GlobalImagesNumberBlocksByFirstAppearance) {
+  SynopsisBuilder b;
+  EXPECT_TRUE(b.AddGlobalImage(std::vector<GlobalFact>{{1, 9, 0, 2}}));
+  EXPECT_TRUE(b.AddGlobalImage(
+      std::vector<GlobalFact>{{0, 4, 1, 3}, {1, 9, 1, 2}}));
+  EXPECT_FALSE(b.AddGlobalImage(std::vector<GlobalFact>{{1, 9, 0, 2}}));
+  const Synopsis s = b.Finish();
+  ASSERT_EQ(s.NumBlocks(), 2u);
+  EXPECT_EQ(s.blocks()[0].relation_id, 1u);
+  EXPECT_EQ(s.blocks()[0].block_id, 9u);
+  EXPECT_EQ(s.blocks()[1].relation_id, 0u);
+  EXPECT_EQ(s.blocks()[1].size, 3u);
+  // Image 1's facts are sorted by local block, not by relation.
+  ASSERT_EQ(s.image(1).size(), 2u);
+  EXPECT_EQ(s.image(1)[0], (Synopsis::ImageFact{0, 1}));
+  EXPECT_EQ(s.image(1)[1], (Synopsis::ImageFact{1, 1}));
+}
+
+TEST(SynopsisTest, CanonicalizeImageSortsDedupsAndChecksConsistency) {
+  std::vector<GlobalFact> image = {{2, 0, 1, 3}, {0, 5, 0, 1}, {2, 0, 1, 3}};
+  ASSERT_TRUE(CanonicalizeImage(&image));
+  ASSERT_EQ(image.size(), 2u);
+  EXPECT_EQ(image[0].relation_id, 0u);
+  EXPECT_EQ(image[1].relation_id, 2u);
+  std::vector<GlobalFact> conflict = {{2, 0, 1, 3}, {2, 0, 2, 3}};
+  EXPECT_FALSE(CanonicalizeImage(&conflict));
 }
 
 TEST(SynopsisDeathTest, RejectsInconsistentImage) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{3, 0, 0});
-  EXPECT_DEATH(s.AddImage({{0, 0}, {0, 1}}), "inconsistent image");
+  SynopsisBuilder b;
+  b.AddBlock(Synopsis::Block{3, 0, 0});
+  EXPECT_DEATH(b.AddImage({{0, 0}, {0, 1}}), "inconsistent image");
 }
 
 TEST(SynopsisDeathTest, RejectsOutOfRangeTid) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  EXPECT_DEATH(s.AddImage({{0, 5}}), "tid");
+  SynopsisBuilder b;
+  b.AddBlock(Synopsis::Block{2, 0, 0});
+  EXPECT_DEATH(b.AddImage({{0, 5}}), "tid");
 }
 
 TEST(SynopsisDeathTest, RejectsEmptyImage) {
-  Synopsis s;
-  s.AddBlock(Synopsis::Block{2, 0, 0});
-  EXPECT_DEATH(s.AddImage({}), "at least one fact");
+  SynopsisBuilder b;
+  b.AddBlock(Synopsis::Block{2, 0, 0});
+  EXPECT_DEATH(b.AddImage({}), "at least one fact");
+}
+
+TEST(SynopsisDeathTest, OneBuilderNumbersBlocksOneWay) {
+  EXPECT_DEATH(
+      {
+        SynopsisBuilder b;
+        b.AddBlock(Synopsis::Block{2, 0, 0});
+        b.AddGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
+      },
+      "given blocks by AddBlock");
+  EXPECT_DEATH(
+      {
+        SynopsisBuilder b;
+        b.AddGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
+        b.AddBlock(Synopsis::Block{2, 0, 1});
+      },
+      "numbering blocks by AddGlobalImage");
 }
 
 TEST(SynopsisTest, RandomSynopsesAreWellFormed) {

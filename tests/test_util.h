@@ -42,11 +42,12 @@ struct EmployeeFixture {
 inline Synopsis MakeRandomSynopsis(Rng& rng, size_t num_blocks,
                                    size_t max_block_size, size_t max_images,
                                    size_t max_image_facts) {
-  Synopsis synopsis;
+  SynopsisBuilder builder;
   for (size_t b = 0; b < num_blocks; ++b) {
     size_t size = 1 + rng.UniformIndex(max_block_size);
     if (b == 0 && size < 2) size = 2;
-    synopsis.AddBlock(Synopsis::Block{size, 0, b});
+    builder.AddBlock(Synopsis::Block{static_cast<uint32_t>(size), 0,
+                                     static_cast<uint32_t>(b)});
   }
   size_t num_images = 1 + rng.UniformIndex(max_images);
   for (size_t i = 0; i < num_images; ++i) {
@@ -59,11 +60,11 @@ inline Synopsis MakeRandomSynopsis(Rng& rng, size_t num_blocks,
       facts.push_back(Synopsis::ImageFact{
           static_cast<uint32_t>(b),
           static_cast<uint32_t>(
-              rng.UniformIndex(synopsis.blocks()[b].size))});
+              rng.UniformIndex(builder.blocks()[b].size))});
     }
-    synopsis.AddImage(std::move(facts));
+    builder.AddImage(facts);
   }
-  return synopsis;
+  return builder.Finish();
 }
 
 /// A random admissible pair (H, B) with a chosen share of size-1 blocks,
@@ -80,7 +81,7 @@ inline Synopsis MakeSynopsisWithSize1Share(Rng& rng, size_t num_blocks,
                                            double certain_share,
                                            size_t max_images,
                                            size_t max_image_facts) {
-  Synopsis synopsis;
+  SynopsisBuilder builder;
   std::vector<uint32_t> size1_blocks;
   for (size_t b = 0; b < num_blocks; ++b) {
     size_t size = 1;
@@ -89,7 +90,8 @@ inline Synopsis MakeSynopsisWithSize1Share(Rng& rng, size_t num_blocks,
     } else {
       size1_blocks.push_back(static_cast<uint32_t>(b));
     }
-    synopsis.AddBlock(Synopsis::Block{size, 0, b});
+    builder.AddBlock(Synopsis::Block{static_cast<uint32_t>(size), 0,
+                                     static_cast<uint32_t>(b)});
   }
   size_t num_images = 1 + rng.UniformIndex(max_images);
   for (size_t i = 0; i < num_images; ++i) {
@@ -102,11 +104,11 @@ inline Synopsis MakeSynopsisWithSize1Share(Rng& rng, size_t num_blocks,
           certain ? size1_blocks[k] : static_cast<uint32_t>(k);
       facts.push_back(Synopsis::ImageFact{
           b, static_cast<uint32_t>(
-                 rng.UniformIndex(synopsis.blocks()[b].size))});
+                 rng.UniformIndex(builder.blocks()[b].size))});
     }
-    synopsis.AddImage(std::move(facts));
+    builder.AddImage(facts);
   }
-  return synopsis;
+  return builder.Finish();
 }
 
 /// Empirical mean of `n` draws from a sampler-like callable.
