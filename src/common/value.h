@@ -2,9 +2,11 @@
 #define CQABENCH_COMMON_VALUE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace cqa {
@@ -147,6 +149,80 @@ inline void HashCombine(size_t& seed, size_t h) {
 struct ValueHash {
   size_t operator()(const Value& v) const { return v.Hash(); }
 };
+
+/// One value in 8 bytes, as the query evaluator binds it: the int64 or the
+/// double itself, or a pointer to a string stored elsewhere (a relation's
+/// segment, dictionary or tail, or a Value). The type is kept beside the
+/// slot, not in it. A string slot is valid as long as the string it points
+/// to.
+union ValueSlot {
+  int64_t i;
+  double d;
+  const std::string* s;
+};
+
+/// The slot of `v`; a string slot points into `v`.
+inline ValueSlot SlotOf(const Value& v) {
+  ValueSlot slot{};
+  switch (v.type()) {
+    case ValueType::kInt:
+      slot.i = v.AsInt();
+      break;
+    case ValueType::kDouble:
+      slot.d = v.AsDouble();
+      break;
+    case ValueType::kString:
+      slot.s = &v.AsString();
+      break;
+  }
+  return slot;
+}
+
+/// Materializes a slot of `type` as a Value (copies a string).
+inline Value SlotValue(ValueType type, ValueSlot slot) {
+  switch (type) {
+    case ValueType::kInt:
+      return Value(slot.i);
+    case ValueType::kDouble:
+      return Value(slot.d);
+    case ValueType::kString:
+      return Value(*slot.s);
+  }
+  return Value();
+}
+
+/// Value equality on two slots of one `type`: doubles compare with ==, so
+/// NaN equals nothing and ±0 are equal; strings compare by bytes.
+inline bool SlotEquals(ValueType type, ValueSlot a, ValueSlot b) {
+  switch (type) {
+    case ValueType::kInt:
+      return a.i == b.i;
+    case ValueType::kDouble:
+      return a.d == b.d;
+    case ValueType::kString:
+      return a.s == b.s || *a.s == *b.s;
+  }
+  return false;
+}
+
+/// A hash of a slot of `type` that agrees with SlotEquals (±0 hash alike).
+/// Numbers are not mixed: fold the result through a mixer such as
+/// SplitMix64 before indexing a table by its low bits.
+inline uint64_t SlotHash(ValueType type, ValueSlot slot) {
+  switch (type) {
+    case ValueType::kInt:
+      return static_cast<uint64_t>(slot.i);
+    case ValueType::kDouble: {
+      const double d = slot.d == 0.0 ? 0.0 : slot.d;
+      uint64_t bits;
+      std::memcpy(&bits, &d, sizeof(bits));
+      return bits;
+    }
+    case ValueType::kString:
+      return std::hash<std::string_view>{}(*slot.s);
+  }
+  return 0;
+}
 
 }  // namespace cqa
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <unordered_set>
 
+#include "common/id_table.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -19,9 +20,10 @@ namespace {
 constexpr uint32_t kNoId = UINT32_MAX;
 
 /// Groups homomorphisms by answer h(x̄) without building a Tuple for
-/// each: an open-addressing table of dense answer ids (in order of first
-/// appearance) keyed by a hash of the answer values, read straight from
-/// the assignment. A Tuple is built only for a new answer.
+/// each: dense answer ids in order of first appearance, deduplicated by a
+/// hash of the answer variables' slots. Each answer keeps its slots
+/// (strings point into the database) for the comparisons; a Tuple is
+/// built only for a new answer.
 class AnswerTable {
  public:
   explicit AnswerTable(const ConjunctiveQuery& q) : q_(q) {}
@@ -29,55 +31,39 @@ class AnswerTable {
   /// The id of h's answer; `*added` is set when h introduced it.
   uint32_t FindOrAdd(const Homomorphism& h, bool* added) {
     const std::vector<size_t>& vars = q_.answer_vars();
-    size_t hash = vars.size();
-    for (size_t v : vars) HashCombine(hash, h.assignment[v].Hash());
-    hash = SplitMix64(hash);  // Slots index by the low bits.
-    if ((tuples_.size() + 1) * 2 > slots_.size()) Grow();
-    const size_t mask = slots_.size() - 1;
-    size_t s = hash & mask;
-    for (; slots_[s].id != kNoId; s = (s + 1) & mask) {
-      if (slots_[s].hash == hash && Matches(tuples_[slots_[s].id], h)) {
-        *added = false;
-        return slots_[s].id;
-      }
+    const size_t width = vars.size();
+    const size_t at = answer_slots_.size();
+    uint64_t hash = width;
+    for (size_t v : vars) {
+      answer_slots_.push_back(h.slot(v));
+      hash = SplitMix64(hash ^ SlotHash(h.type(v), answer_slots_.back()));
     }
-    *added = true;
-    slots_[s] = Slot{static_cast<uint32_t>(tuples_.size()), hash};
-    tuples_.push_back(h.AnswerTuple(q_));
-    return slots_[s].id;
+    const auto next = static_cast<uint32_t>(tuples_.size());
+    const uint32_t id = ids_.FindOrAdd(next, hash, [&](uint32_t other) {
+      for (size_t k = 0; k < width; ++k) {
+        if (!SlotEquals(h.type(vars[k]), answer_slots_[other * width + k],
+                        answer_slots_[at + k])) {
+          return false;
+        }
+      }
+      return true;
+    });
+    *added = id == next;
+    if (*added) {
+      tuples_.push_back(h.AnswerTuple(q_));
+    } else {
+      answer_slots_.resize(at);
+    }
+    return id;
   }
 
   std::vector<Tuple>& tuples() { return tuples_; }
 
  private:
-  struct Slot {
-    uint32_t id;
-    size_t hash;
-  };
-
-  bool Matches(const Tuple& answer, const Homomorphism& h) const {
-    const std::vector<size_t>& vars = q_.answer_vars();
-    for (size_t k = 0; k < vars.size(); ++k) {
-      if (answer[k] != h.assignment[vars[k]]) return false;
-    }
-    return true;
-  }
-
-  void Grow() {
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{kNoId, 0});
-    const size_t mask = slots_.size() - 1;
-    for (const Slot& slot : old) {
-      if (slot.id == kNoId) continue;
-      size_t s = slot.hash & mask;
-      while (slots_[s].id != kNoId) s = (s + 1) & mask;
-      slots_[s] = slot;
-    }
-  }
-
   const ConjunctiveQuery& q_;
   std::vector<Tuple> tuples_;
-  std::vector<Slot> slots_;
+  std::vector<ValueSlot> answer_slots_;  // Answer id × answer variable.
+  IdTable ids_;
 };
 
 }  // namespace

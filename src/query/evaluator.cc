@@ -1,32 +1,157 @@
 #include "query/evaluator.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_set>
 
 #include "common/macros.h"
+#include "common/rng.h"
 
 namespace cqa {
 
+namespace {
+
+bool IsNaN(ValueType type, ValueSlot slot) {
+  return type == ValueType::kDouble && std::isnan(slot.d);
+}
+
+/// Linear probing from `hash` to the entry whose key `same` accepts, or to
+/// the free entry that ends the probe sequence.
+template <typename Entry, typename Same>
+size_t ProbeTable(const std::vector<Entry>& table, uint64_t hash, Same same) {
+  const size_t mask = table.size() - 1;
+  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
+  size_t e = hash & mask;
+  while (table[e].key != UINT32_MAX &&
+         !(table[e].tag == tag && same(table[e].key))) {
+    e = (e + 1) & mask;
+  }
+  return e;
+}
+
+}  // namespace
+
+uint64_t RelationIndex::HashKey(const ValueSlot* key) const {
+  uint64_t hash = types_.size();
+  for (size_t k = 0; k < types_.size(); ++k) {
+    hash = SplitMix64(hash ^ SlotHash(types_[k], key[k]));
+  }
+  return hash;
+}
+
+bool RelationIndex::KeyEqualsRow(const ValueSlot* key, uint32_t row) const {
+  for (size_t k = 0; k < types_.size(); ++k) {
+    if (!SlotEquals(types_[k], key[k], rel_->SlotAt(row, positions_[k]))) {
+      return false;
+    }
+  }
+  return true;
+}
+
 RelationIndex RelationIndex::Build(const Relation& rel,
                                    std::vector<size_t> positions) {
+  CQA_CHECK(rel.size() < kEmpty);
   RelationIndex index;
+  index.rel_ = &rel;
   index.positions_ = std::move(positions);
-  index.buckets_.reserve(rel.size());
-  for (size_t row = 0; row < rel.size(); ++row) {
-    index.buckets_[rel.ProjectRow(row, index.positions_)].push_back(row);
+  for (size_t pos : index.positions_) {
+    CQA_CHECK(pos < rel.schema().arity());
+    index.types_.push_back(rel.schema().attribute(pos).type);
+  }
+  const size_t width = index.positions_.size();
+  std::vector<ValueSlot> key(width);
+  auto read_key = [&](uint32_t row) {
+    bool nan = false;
+    for (size_t k = 0; k < width; ++k) {
+      key[k] = rel.SlotAt(row, index.positions_[k]);
+      nan |= IsNaN(index.types_[k], key[k]);
+    }
+    return !nan;
+  };
+
+  // Pass 1: a dense key id per row, in order of first appearance, and the
+  // row count of each key (kept in offsets_ until pass 2).
+  std::vector<uint32_t> key_of(rel.size(), kEmpty);
+  std::vector<uint32_t> first_row;  // Per key id.
+  std::vector<uint32_t>& counts = index.offsets_;
+  std::vector<Entry>& table = index.table_;
+  table.assign(16, Entry{0, kEmpty});
+  auto grow = [&] {
+    std::vector<Entry> old = std::move(table);
+    table.assign(old.size() * 2, Entry{0, kEmpty});
+    for (const Entry& entry : old) {
+      if (entry.key == kEmpty) continue;
+      read_key(first_row[entry.key]);
+      const size_t e = ProbeTable(table, index.HashKey(key.data()),
+                                  [](uint32_t) { return false; });
+      table[e] = entry;
+    }
+  };
+  for (uint32_t row = 0; row < rel.size(); ++row) {
+    if (!read_key(row)) continue;  // A NaN in the key matches nothing.
+    const uint64_t hash = index.HashKey(key.data());
+    size_t e = ProbeTable(table, hash, [&](uint32_t k) {
+      return index.KeyEqualsRow(key.data(), first_row[k]);
+    });
+    if (table[e].key == kEmpty) {
+      if ((first_row.size() + 1) * 2 > table.size()) {
+        grow();
+        read_key(row);
+        e = ProbeTable(table, hash, [](uint32_t) { return false; });
+      }
+      table[e] = Entry{static_cast<uint32_t>(hash >> 32),
+                       static_cast<uint32_t>(first_row.size())};
+      first_row.push_back(row);
+      counts.push_back(0);
+    }
+    key_of[row] = table[e].key;
+    ++counts[table[e].key];
+  }
+
+  // Pass 2: counts become CSR offsets; rows land in ascending order.
+  uint32_t start = 0;
+  for (uint32_t& entry : counts) {
+    const uint32_t count = entry;
+    entry = start;
+    start += count;
+  }
+  counts.push_back(start);
+  counts.shrink_to_fit();
+  index.rows_.resize(start);
+  std::vector<uint32_t> cursor(counts.begin(), counts.end() - 1);
+  for (uint32_t row = 0; row < rel.size(); ++row) {
+    if (key_of[row] != kEmpty) index.rows_[cursor[key_of[row]]++] = row;
   }
   return index;
 }
 
-const std::vector<size_t>* RelationIndex::Lookup(const Tuple& key) const {
-  auto it = buckets_.find(key);
-  if (it == buckets_.end()) return nullptr;
-  return &it->second;
+std::span<const uint32_t> RelationIndex::Find(const ValueSlot* key) const {
+  for (size_t k = 0; k < types_.size(); ++k) {
+    if (IsNaN(types_[k], key[k])) return {};
+  }
+  const size_t e = ProbeTable(table_, HashKey(key), [&](uint32_t k) {
+    return KeyEqualsRow(key, rows_[offsets_[k]]);
+  });
+  const uint32_t k = table_[e].key;
+  if (k == kEmpty) return {};
+  return std::span<const uint32_t>(rows_.data() + offsets_[k],
+                                   offsets_[k + 1] - offsets_[k]);
+}
+
+std::span<const uint32_t> RelationIndex::Lookup(const Tuple& key) const {
+  CQA_CHECK(key.size() == types_.size());
+  std::vector<ValueSlot> slots(key.size());
+  for (size_t k = 0; k < key.size(); ++k) {
+    if (key[k].type() != types_[k]) return {};
+    slots[k] = SlotOf(key[k]);
+  }
+  return Find(slots.data());
 }
 
 const RelationIndex& DatabaseIndexCache::Get(
     size_t relation_id, const std::vector<size_t>& positions) {
   CQA_CHECK(std::is_sorted(positions.begin(), positions.end()));
+  MutexLock lock(mu_);
   Key key{relation_id, positions};
   auto it = cache_.find(key);
   if (it == cache_.end()) {
@@ -40,7 +165,7 @@ const RelationIndex& DatabaseIndexCache::Get(
 Tuple Homomorphism::AnswerTuple(const ConjunctiveQuery& q) const {
   Tuple t;
   t.reserve(q.answer_vars().size());
-  for (size_t v : q.answer_vars()) t.push_back(assignment[v]);
+  for (size_t v : q.answer_vars()) t.push_back(value(v));
   return t;
 }
 
@@ -93,118 +218,184 @@ std::vector<size_t> PlanAtomOrder(const Database& db,
   return order;
 }
 
-/// Backtracking state for one evaluation.
-struct SearchState {
-  const Database* db;
-  const ConjunctiveQuery* q;
-  DatabaseIndexCache* cache;
-  std::vector<size_t> order;
-  std::vector<bool> bound;
-  Homomorphism h;
-  const HomomorphismCallback* fn;
-  bool stopped = false;
+/// How a plan step finds its candidate rows. The access path settles every
+/// term bound before the step (constants and earlier variables).
+enum class Access {
+  kScan,          // Nothing bound: every row, ascending.
+  kScanMatching,  // First step, only constants bound: a stats-pruned scan.
+  kLookup,        // An index lookup on the bound positions.
+};
 
-  bool MatchAtom(size_t depth) {
-    if (depth == order.size()) {
-      stopped = !(*fn)(h);
-      return !stopped;
+/// A term the access path does not settle: the first occurrence of a
+/// variable binds its slot; a later one in the same atom checks it.
+struct Op {
+  size_t col;
+  size_t var;
+  bool bind;
+};
+
+/// Where one component of a lookup key comes from.
+struct KeyPart {
+  bool constant;
+  size_t var;       // When !constant.
+  ValueSlot value;  // When constant: points into the query.
+};
+
+/// One atom of the plan, in evaluation order.
+struct Step {
+  size_t atom = 0;
+  size_t relation_id = 0;
+  const Relation* rel = nullptr;
+  Access access = Access::kScan;
+  std::vector<size_t> key_positions;  // Bound positions, ascending.
+  std::vector<KeyPart> key;           // kLookup: per key position.
+  Tuple scan_key;                     // kScanMatching: the constants.
+  // Binds that a later term reads, and checks, in term order. A variable
+  // that occurs once needs no bind: Homomorphism reads it from the image.
+  std::vector<Op> ops;
+  const RelationIndex* index = nullptr;  // kLookup: fetched on first use.
+};
+
+/// The compiled query and the state of one enumeration over it.
+class Search {
+ public:
+  Search(DatabaseIndexCache* cache, const HomomorphismCallback& fn)
+      : cache_(cache), fn_(fn) {}
+
+  /// Plans atom order, access paths and ops, and where each variable is
+  /// bound. Returns false when some term can never match: a constant or a
+  /// bound variable of another type than its column, or a NaN constant.
+  bool Compile(const Database& db, const ConjunctiveQuery& q,
+               std::vector<Homomorphism::VarSource>* sources) {
+    std::vector<size_t> occurrences(q.num_vars(), 0);
+    size_t max_width = 0;
+    for (const Atom& atom : q.atoms()) {
+      max_width = std::max(max_width, atom.terms.size());
+      for (const Term& t : atom.terms) {
+        if (t.is_variable()) ++occurrences[t.var()];
+      }
     }
-    size_t atom_index = order[depth];
-    const Atom& atom = q->atom(atom_index);
-    const Relation& rel = db->relation(atom.relation_id);
-
-    // Which positions are bound at this point?
-    std::vector<size_t> bound_positions;
-    for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
-      const Term& t = atom.terms[pos];
-      if (t.is_constant() || bound[t.var()]) bound_positions.push_back(pos);
-    }
-
-    auto try_row = [&](size_t row) -> bool {
-      // Unify against the fact's columns in place (no tuple
-      // materialization, no string copies); repeated fresh variables
-      // within the atom (e.g. R(x, x)) bind on first occurrence.
-      std::vector<size_t> newly_bound;
-      bool ok = true;
+    slots_.assign(q.num_vars(), ValueSlot{0});
+    key_.assign(max_width, ValueSlot{0});
+    sources->assign(q.num_vars(), Homomorphism::VarSource{});
+    types_.assign(q.num_vars(), ValueType::kInt);
+    std::vector<bool> bound(q.num_vars(), false);
+    bool never = false;
+    for (size_t atom_index : PlanAtomOrder(db, q)) {
+      const Atom& atom = q.atom(atom_index);
+      Step step;
+      step.atom = atom_index;
+      step.relation_id = atom.relation_id;
+      step.rel = &db.relation(atom.relation_id);
+      const RelationSchema& schema = step.rel->schema();
+      std::vector<bool> is_key(atom.terms.size(), false);
+      bool all_constant = true;
       for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
         const Term& t = atom.terms[pos];
+        const ValueType type = schema.attribute(pos).type;
         if (t.is_constant()) {
-          if (!rel.ValueEquals(row, pos, t.constant())) {
-            ok = false;
-            break;
-          }
+          const Value& c = t.constant();
+          never |= c.type() != type || IsNaN(type, SlotOf(c));
+          step.key.push_back(KeyPart{true, 0, SlotOf(c)});
+          step.scan_key.push_back(c);
         } else if (bound[t.var()]) {
-          if (!rel.ValueEquals(row, pos, h.assignment[t.var()])) {
-            ok = false;
-            break;
-          }
-        } else {
-          bound[t.var()] = true;
-          h.assignment[t.var()] = rel.ValueAt(row, pos);
-          newly_bound.push_back(t.var());
-        }
-      }
-      if (ok) {
-        h.image[atom_index] = FactRef{atom.relation_id, row};
-        if (!MatchAtom(depth + 1)) ok = false;
-      }
-      for (size_t v : newly_bound) bound[v] = false;
-      return ok || !stopped;
-    };
-
-    if (bound_positions.empty()) {
-      for (size_t row = 0; row < rel.size(); ++row) {
-        if (!try_row(row)) {
-          if (stopped) return false;
-        }
-        if (stopped) return false;
-      }
-      return true;
-    }
-
-    // The first atom is matched exactly once, so when its bound positions
-    // are all constants a statistics-pruned column scan beats building a
-    // hash index over the whole relation. Enumeration stays in ascending
-    // row order — the same order the index bucket would yield.
-    if (depth == 0) {
-      bool all_constant = true;
-      for (size_t pos : bound_positions) {
-        if (!atom.terms[pos].is_constant()) {
+          never |= types_[t.var()] != type;
           all_constant = false;
-          break;
+          step.key.push_back(KeyPart{false, t.var(), ValueSlot{0}});
+        } else {
+          continue;
         }
+        is_key[pos] = true;
+        step.key_positions.push_back(pos);
       }
-      if (all_constant) {
-        Tuple key;
-        key.reserve(bound_positions.size());
-        for (size_t pos : bound_positions) {
-          key.push_back(atom.terms[pos].constant());
+      if (step.key_positions.empty()) {
+        step.access = Access::kScan;
+      } else if (steps_.empty() && all_constant) {
+        step.access = Access::kScanMatching;
+      } else {
+        step.access = Access::kLookup;
+      }
+      for (size_t pos = 0; pos < atom.terms.size(); ++pos) {
+        if (is_key[pos]) continue;
+        const size_t v = atom.terms[pos].var();
+        const ValueType type = schema.attribute(pos).type;
+        if (bound[v]) {  // Bound by an earlier term of this atom.
+          never |= types_[v] != type;
+          step.ops.push_back(Op{pos, v, false});
+          continue;
         }
-        rel.ScanMatching(bound_positions, key, [&](size_t row) {
-          try_row(row);
-          return !stopped;
-        });
-        return !stopped;
+        bound[v] = true;
+        types_[v] = type;
+        (*sources)[v] =
+            Homomorphism::VarSource{step.rel, atom_index, pos, type};
+        if (occurrences[v] > 1) step.ops.push_back(Op{pos, v, true});
       }
+      steps_.push_back(std::move(step));
     }
+    return !never;
+  }
 
-    // Index lookup on the bound positions.
-    const RelationIndex& index =
-        cache->Get(atom.relation_id, bound_positions);
-    Tuple key;
-    key.reserve(bound_positions.size());
-    for (size_t pos : bound_positions) {
-      const Term& t = atom.terms[pos];
-      key.push_back(t.is_constant() ? t.constant() : h.assignment[t.var()]);
-    }
-    const std::vector<size_t>* rows = index.Lookup(key);
-    if (rows == nullptr) return true;
-    for (size_t row : *rows) {
-      try_row(row);
-      if (stopped) return false;
+  /// Enumerates every homomorphism of the compiled plan into `h`.
+  void Run(Homomorphism* h) {
+    h_ = h;
+    h_->image.assign(steps_.size(), FactRef{});
+    Descend(0);
+  }
+
+ private:
+  /// Matches the step at `depth` and everything after it. Returns false
+  /// once the callback has stopped the enumeration.
+  bool Descend(size_t depth) {
+    if (depth == steps_.size()) return fn_(*h_);
+    Step& step = steps_[depth];
+    switch (step.access) {
+      case Access::kScan:
+        for (size_t row = 0; row < step.rel->size(); ++row) {
+          if (!TryRow(step, depth, row)) return false;
+        }
+        return true;
+      case Access::kScanMatching:
+        // The first step runs once: a pruned scan beats building an index
+        // over the whole relation, in the same ascending row order.
+        return step.rel->ScanMatching(
+            step.key_positions, step.scan_key,
+            [&](size_t row) { return TryRow(step, depth, row); });
+      case Access::kLookup:
+        if (step.index == nullptr) {
+          step.index = &cache_->Get(step.relation_id, step.key_positions);
+        }
+        for (size_t k = 0; k < step.key.size(); ++k) {
+          const KeyPart& part = step.key[k];
+          key_[k] = part.constant ? part.value : slots_[part.var];
+        }
+        for (uint32_t row : step.index->Find(key_.data())) {
+          if (!TryRow(step, depth, row)) return false;
+        }
+        return true;
     }
     return true;
   }
+
+  bool TryRow(const Step& step, size_t depth, size_t row) {
+    for (const Op& op : step.ops) {
+      const ValueSlot value = step.rel->SlotAt(row, op.col);
+      if (op.bind) {
+        slots_[op.var] = value;
+      } else if (!SlotEquals(types_[op.var], slots_[op.var], value)) {
+        return true;
+      }
+    }
+    h_->image[step.atom] = FactRef{step.relation_id, row};
+    return Descend(depth + 1);
+  }
+
+  DatabaseIndexCache* cache_;
+  const HomomorphismCallback& fn_;
+  std::vector<Step> steps_;
+  std::vector<ValueSlot> slots_;  // Per variable bound by an op.
+  std::vector<ValueType> types_;  // Per variable.
+  std::vector<ValueSlot> key_;    // Lookup key scratch.
+  Homomorphism* h_ = nullptr;
 };
 
 }  // namespace
@@ -212,16 +403,9 @@ struct SearchState {
 void CqEvaluator::ForEachHomomorphism(const ConjunctiveQuery& q,
                                       const HomomorphismCallback& fn) {
   if (q.NumAtoms() == 0) return;
-  SearchState state;
-  state.db = db_;
-  state.q = &q;
-  state.cache = cache_;
-  state.order = PlanAtomOrder(*db_, q);
-  state.bound.assign(q.num_vars(), false);
-  state.h.assignment.assign(q.num_vars(), Value());
-  state.h.image.assign(q.NumAtoms(), FactRef{});
-  state.fn = &fn;
-  state.MatchAtom(0);
+  Homomorphism h;
+  Search search(cache_, fn);
+  if (search.Compile(*db_, q, &h.vars_)) search.Run(&h);
 }
 
 std::vector<Tuple> CqEvaluator::Evaluate(const ConjunctiveQuery& q) {

@@ -1,36 +1,68 @@
 #ifndef CQABENCH_QUERY_EVALUATOR_H_
 #define CQABENCH_QUERY_EVALUATOR_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_annotations.h"
 #include "query/cq.h"
 #include "storage/database.h"
 
 namespace cqa {
 
-/// Hash index of one relation keyed by the projection onto a fixed set of
-/// positions. Built on demand by DatabaseIndexCache.
+/// Hash index of one relation on a fixed set of key positions, built on
+/// demand by DatabaseIndexCache and immutable afterwards. Each distinct key
+/// owns a run of 32-bit row numbers in CSR form (one offsets array, one row
+/// array, rows ascending within a key); an open-addressing table over typed
+/// key hashes finds the run. Keys are not stored: a probe compares against
+/// the first row of the run, so the relation must outlive the index and not
+/// grow. Rows whose key holds a NaN are left out, since NaN equals nothing.
 class RelationIndex {
  public:
   static RelationIndex Build(const Relation& rel,
                              std::vector<size_t> positions);
 
-  /// Rows whose projection equals `key`; nullptr when none.
-  const std::vector<size_t>* Lookup(const Tuple& key) const;
+  /// Rows, ascending, whose projection onto positions() equals `key`: one
+  /// slot per position, typed as that column.
+  std::span<const uint32_t> Find(const ValueSlot* key) const;
+
+  /// Find for a Tuple key. A value whose type differs from its column's
+  /// matches nothing.
+  std::span<const uint32_t> Lookup(const Tuple& key) const;
 
   const std::vector<size_t>& positions() const { return positions_; }
 
+  /// Number of distinct keys.
+  size_t NumKeys() const { return offsets_.size() - 1; }
+
  private:
+  struct Entry {
+    uint32_t tag;  // High half of the key hash.
+    uint32_t key;  // Dense key id; kEmpty marks a free entry.
+  };
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  uint64_t HashKey(const ValueSlot* key) const;
+  bool KeyEqualsRow(const ValueSlot* key, uint32_t row) const;
+
+  const Relation* rel_ = nullptr;
   std::vector<size_t> positions_;
-  std::unordered_map<Tuple, std::vector<size_t>, TupleHash> buckets_;
+  std::vector<ValueType> types_;  // Column type per position.
+  std::vector<Entry> table_;      // Power-of-two size.
+  std::vector<uint32_t> offsets_;  // Key k: rows_[offsets_[k], offsets_[k+1]).
+  std::vector<uint32_t> rows_;
 };
 
-/// Lazily-built cache of RelationIndexes for one database. Reusing a cache
+/// Lazily built cache of RelationIndexes for one database. Reusing a cache
 /// across many query evaluations on the same instance (the dynamic query
-/// generator, the preprocessing step) amortizes index construction.
+/// generator, the preprocessing step, cqad's misses) amortizes index
+/// construction. Thread-safe: Get finds or builds under a leaf lock, and a
+/// built index is immutable and never erased, so evaluations that share a
+/// cache run unlocked.
 ///
 /// The database must outlive the cache and must not grow while cached
 /// indexes are in use.
@@ -40,7 +72,8 @@ class DatabaseIndexCache {
 
   /// Index of `relation_id` on `positions` (must be sorted ascending).
   const RelationIndex& Get(size_t relation_id,
-                           const std::vector<size_t>& positions);
+                           const std::vector<size_t>& positions)
+      CQA_EXCLUDES(mu_);
 
  private:
   struct Key {
@@ -57,19 +90,50 @@ class DatabaseIndexCache {
   };
 
   const Database* db_;
-  std::unordered_map<Key, std::unique_ptr<RelationIndex>, KeyHash> cache_;
+  // Leaf lock: held across one index build, which takes no other lock.
+  Mutex mu_;
+  std::unordered_map<Key, std::unique_ptr<RelationIndex>, KeyHash> cache_
+      CQA_GUARDED_BY(mu_);
 };
 
-/// A homomorphism from a CQ to a database: a total assignment of the query
-/// variables plus, per atom, the fact the atom is mapped onto (its image).
-struct Homomorphism {
-  /// Value of each variable, indexed by variable id.
-  std::vector<Value> assignment;
+/// A homomorphism from a CQ to a database as the evaluator hands it to a
+/// callback: per atom the fact the atom maps onto (its image), and per
+/// variable a typed slot read from the image fact that binds it. Nothing
+/// is materialized until a caller asks. Valid during the callback only;
+/// string slots point into the database.
+class Homomorphism {
+ public:
   /// Image fact of each atom, in atom order.
   std::vector<FactRef> image;
 
-  /// h(x̄): the projection of the assignment onto the answer variables.
+  /// Type of variable `var`, fixed for one evaluation.
+  ValueType type(size_t var) const { return vars_[var].type; }
+
+  /// Value of variable `var` as a slot of type(var).
+  ValueSlot slot(size_t var) const {
+    const VarSource& src = vars_[var];
+    if (src.rel == nullptr) return ValueSlot{0};  // Occurs in no atom.
+    return src.rel->SlotAt(image[src.atom].row, src.col);
+  }
+
+  /// Materializes the value of variable `var`.
+  Value value(size_t var) const { return SlotValue(type(var), slot(var)); }
+
+  /// h(x̄): the answer variables' values, materialized.
   Tuple AnswerTuple(const ConjunctiveQuery& q) const;
+
+  /// The column that binds a variable: its first occurrence in plan order.
+  struct VarSource {
+    const Relation* rel = nullptr;
+    size_t atom = 0;
+    size_t col = 0;
+    ValueType type = ValueType::kInt;
+  };
+
+ private:
+  friend class CqEvaluator;
+
+  std::vector<VarSource> vars_;
 };
 
 /// Callback invoked per homomorphism; return false to stop enumeration.
@@ -77,6 +141,10 @@ using HomomorphismCallback = std::function<bool(const Homomorphism&)>;
 
 /// Enumerates homomorphisms from conjunctive queries to a database using
 /// index-nested-loop joins with a greedy bound-terms-first atom order.
+/// Each call compiles the query into a plan once (atom order, access path
+/// and per-term operations, with every type mismatch settled as "never
+/// matches"), then runs it over typed variable slots: a row tried costs no
+/// heap allocation and no Value copy.
 class CqEvaluator {
  public:
   /// `cache` may be shared across evaluators of the same database; when

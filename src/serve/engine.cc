@@ -130,9 +130,6 @@ Response CqaEngine::ExecuteQuery(const Request& request,
           obs::TraceSpan build_span("serve.preprocess", cache_span.id(),
                                     request.trace_id);
           const Stopwatch build_watch;
-          // DatabaseIndexCache is single-threaded; one build at a time per
-          // database (builds for *other* databases proceed in parallel).
-          MutexLock build_lock(db->preprocess_mu);
           PreprocessResult result =
               BuildSynopses(db->db, query, &db->index_cache);
           (void)build_error;

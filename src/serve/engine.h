@@ -38,19 +38,16 @@ struct EngineOptions {
 };
 
 /// One loaded .tbl directory with its schema and evaluation indexes.
-/// `preprocess_mu` serializes synopsis builds on this database: the
-/// evaluator's DatabaseIndexCache is not thread-safe, so concurrent
-/// *misses* on one database queue up while hits proceed lock-free. The
-/// first miss also builds the database's block index, under the leaf
-/// lock inside Database::block_index. Every cached result for this
-/// database shares that index and keeps it alive past eviction.
+/// Concurrent *misses* on one database build their synopses in parallel:
+/// the evaluator's DatabaseIndexCache finds or builds an index under its
+/// own leaf lock and evaluates unlocked, and the first miss builds the
+/// database's block index under the leaf lock inside
+/// Database::block_index. Every cached result for this database shares
+/// that index and keeps it alive past eviction.
 struct LoadedDatabase {
   Schema schema;
   Database db;
-  // mutable so a const LoadedDatabase can still serialize builds: the
-  // lock protects scratch (the evaluator's indexes), not logical state.
-  mutable Mutex preprocess_mu;
-  DatabaseIndexCache index_cache CQA_GUARDED_BY(preprocess_mu);
+  DatabaseIndexCache index_cache;
 
   // The schema must be complete before the Database is constructed (the
   // Database sizes its relation store from it), hence by-value injection

@@ -34,18 +34,8 @@ Relation::Relation(const RelationSchema* schema, size_t chunk_capacity)
   tail_.resize(schema_->arity());
 }
 
-size_t Relation::ChunkOf(size_t row, size_t* offset) const {
-  CQA_DCHECK(row < num_rows_);
-  size_t sealed_rows = num_rows_ - tail_rows_;
-  if (row >= sealed_rows) {
-    *offset = row - sealed_rows;
-    return kTailChunk;
-  }
-  if (regular_) {
-    *offset = row % chunk_capacity_;
-    return row / chunk_capacity_;
-  }
-  // Short chunks exist (forced seals): binary-search the chunk starts.
+size_t Relation::SearchChunk(size_t row, size_t* offset) const {
+  // A short chunk has another chunk after it: binary-search the starts.
   size_t lo = 0, hi = chunks_.size() - 1;
   while (lo < hi) {
     size_t mid = (lo + hi + 1) / 2;
@@ -59,50 +49,39 @@ size_t Relation::ChunkOf(size_t row, size_t* offset) const {
   return lo;
 }
 
-Value Relation::TailValue(size_t offset, size_t col) const {
+ValueSlot Relation::TailSlot(size_t offset, size_t col) const {
   const TailColumn& tc = tail_[col];
+  ValueSlot slot{};
   switch (schema_->attribute(col).type) {
     case ValueType::kInt:
-      return Value(tc.ints[offset]);
+      slot.i = tc.ints[offset];
+      break;
     case ValueType::kDouble:
-      return Value(tc.doubles[offset]);
+      slot.d = tc.doubles[offset];
+      break;
     case ValueType::kString:
-      return Value(tc.strings[offset]);
+      slot.s = &tc.strings[offset];
+      break;
   }
-  return Value();
+  return slot;
 }
 
 Value Relation::ValueAt(size_t row, size_t col) const {
-  CQA_DCHECK(col < schema_->arity());
-  size_t offset = 0;
-  size_t c = ChunkOf(row, &offset);
-  if (c == kTailChunk) return TailValue(offset, col);
-  return chunks_[c].columns[col].GetValue(offset);
+  return SlotValue(schema_->attribute(col).type, SlotAt(row, col));
 }
 
 bool Relation::ValueEquals(size_t row, size_t col, const Value& v) const {
-  CQA_DCHECK(col < schema_->arity());
-  size_t offset = 0;
-  size_t c = ChunkOf(row, &offset);
-  if (c != kTailChunk) return chunks_[c].columns[col].ValueEquals(offset, v);
-  const TailColumn& tc = tail_[col];
-  ValueType type = schema_->attribute(col).type;
-  if (v.type() != type) return false;
-  switch (type) {
-    case ValueType::kInt:
-      return tc.ints[offset] == v.AsInt();
-    case ValueType::kDouble:
-      return tc.doubles[offset] == v.AsDouble();
-    case ValueType::kString:
-      return tc.strings[offset] == v.AsString();
-  }
-  return false;
+  const ValueType type = schema_->attribute(col).type;
+  return v.type() == type && SlotEquals(type, SlotAt(row, col), SlotOf(v));
 }
 
 bool Relation::RowsEqual(size_t a, size_t b) const {
   if (a == b) return true;
   for (size_t col = 0; col < schema_->arity(); ++col) {
-    if (!ValueEquals(b, col, ValueAt(a, col))) return false;
+    if (!SlotEquals(schema_->attribute(col).type, SlotAt(a, col),
+                    SlotAt(b, col))) {
+      return false;
+    }
   }
   return true;
 }
@@ -126,18 +105,10 @@ std::vector<Tuple> Relation::rows() const {
 Tuple Relation::KeyOf(size_t i) const {
   CQA_CHECK(i < num_rows_);
   if (!schema_->has_key()) return row(i);
-  return ProjectRow(i, schema_->key_positions());
-}
-
-Tuple Relation::ProjectRow(size_t i, const std::vector<size_t>& positions)
-    const {
-  Tuple out;
-  out.reserve(positions.size());
-  for (size_t pos : positions) {
-    CQA_CHECK(pos < schema_->arity());
-    out.push_back(ValueAt(i, pos));
-  }
-  return out;
+  Tuple key;
+  key.reserve(schema_->key_positions().size());
+  for (size_t pos : schema_->key_positions()) key.push_back(ValueAt(i, pos));
+  return key;
 }
 
 size_t Relation::Insert(Tuple t) {
@@ -188,7 +159,10 @@ void Relation::SealTailChunk() {
     chunk.stats.push_back(BuildChunkColumnStats(segment));
     chunk.columns.push_back(std::move(segment));
   }
-  if (chunk.rows != chunk_capacity_) regular_ = false;
+  // Only a short chunk with a chunk after it breaks row / capacity.
+  if (!chunks_.empty() && chunks_.back().rows != chunk_capacity_) {
+    regular_ = false;
+  }
   chunks_.push_back(std::move(chunk));
   tail_rows_ = 0;
 }
@@ -247,7 +221,8 @@ bool Relation::ScanMatching(const std::vector<size_t>& positions,
       skip = !chunk.stats[positions[i]].MayContainEqual(key[i]);
     }
     if (skip) {
-      ++chunks_pruned_;
+      std::atomic_ref<size_t>(chunks_pruned_)
+          .fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     // Resolve dictionary codes once per chunk; an absent code proves the
@@ -266,7 +241,8 @@ bool Relation::ScanMatching(const std::vector<size_t>& positions,
       }
     }
     if (skip) {
-      ++chunks_pruned_;
+      std::atomic_ref<size_t>(chunks_pruned_)
+          .fetch_add(1, std::memory_order_relaxed);
       continue;
     }
     for (size_t offset = 0; offset < chunk.rows; ++offset) {

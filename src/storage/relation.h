@@ -3,16 +3,19 @@
 // sealed into an immutable chunk of typed Segments (dictionary-encoded
 // where profitable) with per-column ChunkColumnStats. Row indexes are
 // stable (no deletion), which keeps FactRef, block ids and tuple ids valid
-// while noise is injected. Readers either consume column runs through
-// ForEachRun/ScanMatching (the vectorized path) or materialize tuples
-// through the row-view adapter (row/rows/KeyOf), which preserves the
-// pre-columnar API. See docs/storage.md for the full storage contract.
+// while noise is injected. Readers consume column runs through
+// ForEachRun/ScanMatching (the vectorized path), read typed slots through
+// SlotAt (the query evaluator), or materialize tuples through the row-view
+// adapter (row/rows/KeyOf), which preserves the pre-columnar API. See
+// docs/storage.md for the full storage contract.
 #ifndef CQABENCH_STORAGE_RELATION_H_
 #define CQABENCH_STORAGE_RELATION_H_
 
+#include <atomic>
 #include <functional>
 #include <vector>
 
+#include "common/macros.h"
 #include "storage/chunk_stats.h"
 #include "storage/schema.h"
 #include "storage/segment.h"
@@ -73,10 +76,18 @@ class Relation {
   /// tuple if the relation has no key).
   Tuple KeyOf(size_t i) const;
 
-  /// Projects row `i` onto `positions`, reading only those columns.
-  Tuple ProjectRow(size_t i, const std::vector<size_t>& positions) const;
-
   // --- Point access over columns ----------------------------------------
+
+  /// The value at (row, column) as a slot of the column's type: the number
+  /// itself, or a pointer to the string in its segment, dictionary or the
+  /// tail. No copy; valid until the relation is mutated.
+  ValueSlot SlotAt(size_t row, size_t col) const {
+    CQA_DCHECK(col < schema_->arity());
+    size_t offset = 0;
+    const size_t c = ChunkOf(row, &offset);
+    if (c != kTailChunk) return chunks_[c].columns[col].SlotAt(offset);
+    return TailSlot(offset, col);
+  }
 
   /// Materializes the value at (row, column).
   Value ValueAt(size_t row, size_t col) const;
@@ -130,7 +141,10 @@ class Relation {
 
   /// Chunks skipped by ScanMatching statistics since construction
   /// (bench/test observability).
-  size_t chunks_pruned() const { return chunks_pruned_; }
+  size_t chunks_pruned() const {
+    return std::atomic_ref<size_t>(chunks_pruned_).load(
+        std::memory_order_relaxed);
+  }
 
   /// Heap footprint of all segments and tail buffers, in bytes.
   size_t MemoryBytes() const;
@@ -153,10 +167,24 @@ class Relation {
 
   /// (chunk index or kTailChunk, offset within it) of a global row.
   static constexpr size_t kTailChunk = SIZE_MAX;
-  size_t ChunkOf(size_t row, size_t* offset) const;
+  size_t ChunkOf(size_t row, size_t* offset) const {
+    CQA_DCHECK(row < num_rows_);
+    const size_t sealed_rows = num_rows_ - tail_rows_;
+    if (row >= sealed_rows) {
+      *offset = row - sealed_rows;
+      return kTailChunk;
+    }
+    if (regular_) {
+      *offset = row % chunk_capacity_;
+      return row / chunk_capacity_;
+    }
+    return SearchChunk(row, offset);
+  }
+  /// ChunkOf for a sealed row when the chunks are irregular.
+  size_t SearchChunk(size_t row, size_t* offset) const;
 
   void SealTailChunk();
-  Value TailValue(size_t offset, size_t col) const;
+  ValueSlot TailSlot(size_t offset, size_t col) const;
 
   const RelationSchema* schema_;  // Owned by the Database's Schema.
   size_t chunk_capacity_;
@@ -164,9 +192,13 @@ class Relation {
   size_t tail_rows_ = 0;
   std::vector<Chunk> chunks_;
   std::vector<TailColumn> tail_;
-  // True while every sealed chunk holds exactly chunk_capacity_ rows, so
-  // row -> chunk is a division instead of a binary search.
+  // True while every sealed chunk but the last holds exactly
+  // chunk_capacity_ rows, so row -> chunk is a division instead of a
+  // binary search. A short last chunk (SealTail after a bulk build) keeps
+  // it; sealing another chunk after a short one clears it for good.
   bool regular_ = true;
+  // Bumped through std::atomic_ref: concurrent evaluations scan one
+  // relation.
   mutable size_t chunks_pruned_ = 0;
 };
 

@@ -104,43 +104,6 @@ Segment Segment::SealStrings(std::vector<std::string> values) {
   return s;
 }
 
-Value Segment::GetValue(size_t i) const {
-  CQA_DCHECK(i < size_);
-  if (encoding_ == SegmentEncoding::kDictionary) {
-    uint32_t code = codes_[i];
-    if (type_ == ValueType::kInt) return Value(int_dict_[code]);
-    return Value(string_dict_[code]);
-  }
-  switch (type_) {
-    case ValueType::kInt:
-      return Value(ints_[i]);
-    case ValueType::kDouble:
-      return Value(doubles_[i]);
-    case ValueType::kString:
-      return Value(strings_[i]);
-  }
-  return Value();
-}
-
-bool Segment::ValueEquals(size_t i, const Value& v) const {
-  CQA_DCHECK(i < size_);
-  if (v.type() != type_) return false;
-  if (encoding_ == SegmentEncoding::kDictionary) {
-    uint32_t code = codes_[i];
-    if (type_ == ValueType::kInt) return int_dict_[code] == v.AsInt();
-    return string_dict_[code] == v.AsString();
-  }
-  switch (type_) {
-    case ValueType::kInt:
-      return ints_[i] == v.AsInt();
-    case ValueType::kDouble:
-      return doubles_[i] == v.AsDouble();
-    case ValueType::kString:
-      return strings_[i] == v.AsString();
-  }
-  return false;
-}
-
 ColumnRun Segment::Run(size_t row0) const {
   ColumnRun run;
   run.type = type_;

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/value.h"
 
 namespace cqa {
@@ -72,12 +73,42 @@ class Segment {
   SegmentEncoding encoding() const { return encoding_; }
   size_t size() const { return size_; }
 
+  /// The value at index `i` as a slot of type(): the number itself, or a
+  /// pointer to the string in the plain payload or the dictionary.
+  ValueSlot SlotAt(size_t i) const {
+    CQA_DCHECK(i < size_);
+    ValueSlot slot{};
+    if (encoding_ == SegmentEncoding::kDictionary) {
+      const uint32_t code = codes_[i];
+      if (type_ == ValueType::kInt) {
+        slot.i = int_dict_[code];
+      } else {
+        slot.s = &string_dict_[code];
+      }
+      return slot;
+    }
+    switch (type_) {
+      case ValueType::kInt:
+        slot.i = ints_[i];
+        break;
+      case ValueType::kDouble:
+        slot.d = doubles_[i];
+        break;
+      case ValueType::kString:
+        slot.s = &strings_[i];
+        break;
+    }
+    return slot;
+  }
+
   /// Materializes the value at index `i`.
-  Value GetValue(size_t i) const;
+  Value GetValue(size_t i) const { return SlotValue(type_, SlotAt(i)); }
 
   /// Compares the value at index `i` against `v` without materializing
   /// (no string copies; dictionary lookups touch the dict entry in place).
-  bool ValueEquals(size_t i, const Value& v) const;
+  bool ValueEquals(size_t i, const Value& v) const {
+    return v.type() == type_ && SlotEquals(type_, SlotAt(i), SlotOf(v));
+  }
 
   /// The whole segment as a raw run starting at global row `row0`.
   ColumnRun Run(size_t row0) const;

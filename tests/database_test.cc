@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "test_util.h"
 
 namespace cqa {
@@ -42,6 +44,71 @@ TEST(RelationTest, KeyOfWithoutKeyIsWholeTuple) {
   Database db(&schema);
   db.Insert("log", {Value("hello")});
   EXPECT_EQ(db.relation("log").KeyOf(0), (Tuple{Value("hello")}));
+}
+
+/// Inserts rows [from, to) of a fixed three-column pattern: an int that
+/// dictionary-encodes, a double and a string that stays plain.
+void InsertPatternRows(Relation* rel, size_t from, size_t to) {
+  for (size_t r = from; r < to; ++r) {
+    rel->Insert({Value(static_cast<int64_t>(r % 100)),
+                 Value(static_cast<double>(r) / 4),
+                 Value("s" + std::to_string(r))});
+  }
+}
+
+/// Every row of `rel` reads back the pattern through SlotAt, ValueAt and
+/// ValueEquals, whichever chunk (or the tail) holds it.
+void ExpectPatternRows(const Relation& rel) {
+  for (size_t r = 0; r < rel.size(); ++r) {
+    const Value i(static_cast<int64_t>(r % 100));
+    const Value d(static_cast<double>(r) / 4);
+    const Value str("s" + std::to_string(r));
+    ASSERT_EQ(rel.SlotAt(r, 0).i, i.AsInt()) << "row " << r;
+    ASSERT_EQ(rel.SlotAt(r, 1).d, d.AsDouble()) << "row " << r;
+    ASSERT_EQ(*rel.SlotAt(r, 2).s, str.AsString()) << "row " << r;
+    ASSERT_EQ(rel.ValueAt(r, 2), str) << "row " << r;
+    ASSERT_TRUE(rel.ValueEquals(r, 0, i)) << "row " << r;
+    ASSERT_TRUE(rel.ValueEquals(r, 1, d)) << "row " << r;
+    ASSERT_FALSE(rel.ValueEquals(r, 0, d)) << "row " << r;
+  }
+}
+
+// Row -> (chunk, offset) is a division while every chunk but the last is
+// full, and a binary search once a short chunk has another after it. Both
+// must agree with the chunk layout at 4095/4096/4097 and at every edge.
+TEST(RelationTest, RowToValueAtChunkEdges) {
+  const RelationSchema schema("r", {{"i", ValueType::kInt},
+                                    {"d", ValueType::kDouble},
+                                    {"s", ValueType::kString}});
+  constexpr size_t kCap = Relation::kDefaultChunkCapacity;
+
+  Relation exact(&schema);  // Sealed at an exact multiple.
+  InsertPatternRows(&exact, 0, 2 * kCap);
+  exact.SealTail();
+  EXPECT_EQ(exact.NumChunks(), 2u);
+  ExpectPatternRows(exact);
+
+  Relation short_last(&schema);  // Short last chunk, then a tail.
+  InsertPatternRows(&short_last, 0, 2 * kCap + 1);
+  short_last.SealTail();
+  InsertPatternRows(&short_last, 2 * kCap + 1, 2 * kCap + 3);
+  ASSERT_EQ(short_last.NumChunks(), 3u);
+  EXPECT_EQ(short_last.chunk_rows(2), 1u);
+  EXPECT_EQ(short_last.tail_rows(), 2u);
+  ExpectPatternRows(short_last);
+
+  Relation irregular(&schema);  // A short chunk with chunks after it.
+  InsertPatternRows(&irregular, 0, kCap - 1);
+  irregular.SealTail();
+  InsertPatternRows(&irregular, kCap - 1, 2 * kCap + 10);
+  irregular.SealTail();
+  InsertPatternRows(&irregular, 2 * kCap + 10, 2 * kCap + 12);
+  ASSERT_EQ(irregular.NumChunks(), 3u);
+  EXPECT_EQ(irregular.chunk_row0(1), kCap - 1);
+  EXPECT_EQ(irregular.chunk_rows(1), kCap);
+  EXPECT_EQ(irregular.chunk_row0(2), 2 * kCap - 1);
+  EXPECT_EQ(irregular.chunk_rows(2), 11u);
+  ExpectPatternRows(irregular);
 }
 
 TEST(DatabaseTest, InsertReturnsStableFactRefs) {

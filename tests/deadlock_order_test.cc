@@ -81,10 +81,12 @@ std::filesystem::path* DeadlockOrderTest::dir_ = nullptr;
 
 // The deepest chain in the tree: every request crosses the admission
 // queue's mu_, the synopsis cache's mu_ (single-flight on one shared
-// key), the engine's db_mu_, the loaded database's preprocess_mu, and a
-// loop's mailbox_mu_ for the response. A tight inflight bound plus
-// identical keys maximizes contention on every lock in the chain at
-// once; any held-across-acquire edge between them would wedge here.
+// key), the engine's db_mu_, on the flight's miss the database's
+// block_index_mu_ and its DatabaseIndexCache's mu_ (one after the other,
+// evaluation runs with neither held), and a loop's mailbox_mu_ for the
+// response. A tight inflight bound plus identical keys maximizes
+// contention on every lock in the chain at once; any held-across-acquire
+// edge between them would wedge here.
 TEST_F(DeadlockOrderTest, ServerAdmissionCacheEngineChainUnderContention) {
   ServerOptions options;
   options.workers = 8;

@@ -72,16 +72,26 @@ std::set<Tuple> BruteForceEvaluate(const Database& db,
   return answers;
 }
 
-/// Random database over a 2-relation schema with small domains.
+/// Random database over a 3-relation schema with small domains: two int
+/// relations and one with int, string and double columns, whose doubles
+/// include both zeros.
 Database RandomDatabase(const Schema& schema, Rng& rng) {
   Database db(&schema);
   size_t r_rows = 3 + rng.UniformIndex(6);
   size_t s_rows = 3 + rng.UniformIndex(6);
+  size_t u_rows = 3 + rng.UniformIndex(6);
   for (size_t i = 0; i < r_rows; ++i) {
     db.Insert("r", {Value(rng.UniformInt(0, 3)), Value(rng.UniformInt(0, 3))});
   }
   for (size_t i = 0; i < s_rows; ++i) {
     db.Insert("s", {Value(rng.UniformInt(0, 3)), Value(rng.UniformInt(0, 3))});
+  }
+  static const char* const kNames[] = {"x", "y", ""};
+  static const double kNumbers[] = {0.0, -0.0, 0.5, 1.0};
+  for (size_t i = 0; i < u_rows; ++i) {
+    db.Insert("u", {Value(rng.UniformInt(0, 3)),
+                    Value(kNames[rng.UniformIndex(3)]),
+                    Value(kNumbers[rng.UniformIndex(4)])});
   }
   return db;
 }
@@ -94,6 +104,9 @@ TEST_P(EvaluatorOracleTest, MatchesBruteForceOnRandomInstances) {
       "r", {{"a", ValueType::kInt}, {"b", ValueType::kInt}}));
   schema.AddRelation(RelationSchema(
       "s", {{"b", ValueType::kInt}, {"c", ValueType::kInt}}));
+  schema.AddRelation(RelationSchema("u", {{"a", ValueType::kInt},
+                                          {"n", ValueType::kString},
+                                          {"x", ValueType::kDouble}}));
   const char* kQueries[] = {
       "Q(A, B) :- r(A, B).",
       "Q(A, C) :- r(A, B), s(B, C).",
@@ -102,6 +115,13 @@ TEST_P(EvaluatorOracleTest, MatchesBruteForceOnRandomInstances) {
       "Q() :- r(A, B), s(B, A).",
       "Q(A) :- r(A, B), r(B, A).",
       "Q(C) :- r(1, B), s(B, C).",
+      "Q(N, X) :- u(A, N, X).",
+      "Q(A, N) :- r(A, B), u(B, N, X).",
+      "Q(N) :- u(A, N, X), u(B, N, X).",
+      "Q(A) :- u(A, 'x', X).",
+      "Q(X) :- u(A, N, X), u(A, M, 0.0).",
+      "Q(N) :- u(A, N, 0.5), r(A, A).",
+      "Q(A, B) :- u(A, N, X), u(B, N, Y), s(A, B).",
   };
   Rng rng(900 + GetParam());
   Database db = RandomDatabase(schema, rng);

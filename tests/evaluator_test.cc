@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <span>
 
 #include "query/parser.h"
 #include "test_util.h"
@@ -166,14 +168,41 @@ TEST(EvaluatorTest, StopEnumerationEarly) {
   EXPECT_EQ(calls, 1u);
 }
 
+std::vector<uint32_t> Rows(std::span<const uint32_t> rows) {
+  return std::vector<uint32_t>(rows.begin(), rows.end());
+}
+
 TEST(RelationIndexTest, LookupSemantics) {
   EmployeeFixture fx;
   RelationIndex index =
       RelationIndex::Build(fx.db->relation("employee"), {2});
-  const std::vector<size_t>* it_rows = index.Lookup({Value("IT")});
-  ASSERT_NE(it_rows, nullptr);
-  EXPECT_EQ(*it_rows, (std::vector<size_t>{1, 2, 3}));
-  EXPECT_EQ(index.Lookup({Value("LEGAL")}), nullptr);
+  EXPECT_EQ(Rows(index.Lookup({Value("IT")})),
+            (std::vector<uint32_t>{1, 2, 3}));
+  EXPECT_TRUE(index.Lookup({Value("LEGAL")}).empty());
+  // A key of another type than its column matches nothing.
+  EXPECT_TRUE(index.Lookup({Value(1)}).empty());
+  EXPECT_EQ(index.NumKeys(), 2u);
+}
+
+// Doubles keep Value semantics in the index: ±0 share a key, NaN rows are
+// left out and a NaN key finds nothing.
+TEST(RelationIndexTest, DoubleKeysFollowValueEquality) {
+  Schema schema;
+  schema.AddRelation(RelationSchema(
+      "d", {{"x", ValueType::kDouble}, {"y", ValueType::kInt}}));
+  Database db(&schema);
+  const double nan = std::nan("");
+  db.Insert("d", {Value(0.0), Value(0)});
+  db.Insert("d", {Value(nan), Value(1)});
+  db.Insert("d", {Value(-0.0), Value(2)});
+  db.Insert("d", {Value(1.5), Value(3)});
+  db.Insert("d", {Value(nan), Value(4)});
+  RelationIndex index = RelationIndex::Build(db.relation("d"), {0});
+  EXPECT_EQ(Rows(index.Lookup({Value(-0.0)})), (std::vector<uint32_t>{0, 2}));
+  EXPECT_EQ(Rows(index.Lookup({Value(0.0)})), (std::vector<uint32_t>{0, 2}));
+  EXPECT_TRUE(index.Lookup({Value(nan)}).empty());
+  EXPECT_TRUE(index.Lookup({Value(int64_t{0})}).empty());
+  EXPECT_EQ(index.NumKeys(), 2u);
 }
 
 }  // namespace

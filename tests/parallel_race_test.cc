@@ -3,8 +3,9 @@
 // they prove the claims the obs layer, the parallel estimator and the
 // shared block index make: relaxed-atomic metric updates never race with
 // snapshots, scheme runs on distinct objects share no mutable state,
-// concurrent deadline expiry is benign, and concurrent first calls to
-// Database::block_index build one index.
+// concurrent deadline expiry is benign, concurrent first calls to
+// Database::block_index build one index, and concurrent evaluations share
+// one DatabaseIndexCache.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,8 @@
 #include "cqa/parallel.h"
 #include "cqa/schemes.h"
 #include "cqa/symbolic_space.h"
+#include "gen/tpch.h"
+#include "gen/workloads.h"
 #include "obs/metrics.h"
 #include "query/parser.h"
 #include "storage/block_index.h"
@@ -260,6 +263,47 @@ TEST(ParallelRaceTest, ConcurrentSynopsisBuildsShareOneBlockIndex) {
 #else
   (void)builds_before;
 #endif
+}
+
+/// The evaluator's index cache under contention: 8 threads preprocess a
+/// mix of TPC-H queries (joins, a self-join, stats-pruned constant scans)
+/// against one database through ONE DatabaseIndexCache, each in its own
+/// order, as concurrent cqad misses on one database do. Get finds or
+/// builds an index under the cache's leaf lock and evaluation runs
+/// unlocked; every result must equal a serial run's.
+TEST(ParallelRaceTest, ConcurrentBuildsShareOneIndexCache) {
+  Dataset d = GenerateTpch(TpchOptions{0.001, 7});
+  const Database& db = *d.db;
+  std::vector<ConjunctiveQuery> queries;
+  for (const NamedQuery& nq : TpchValidationQueries(*d.schema)) {
+    queries.push_back(nq.query);
+  }
+  std::vector<std::string> expected;
+  for (const ConjunctiveQuery& q : queries) {
+    expected.push_back(DescribeSynopses(BuildSynopses(db, q)));
+  }
+  EXPECT_GT(expected.size(), 5u);
+
+  constexpr size_t kThreads = 8;
+  DatabaseIndexCache cache(&db);
+  std::vector<std::vector<std::string>> got(kThreads);
+  std::vector<std::thread> workers;
+  workers.reserve(kThreads);
+  for (size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([t, &db, &queries, &cache, &got] {
+      got[t].resize(queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        const size_t k = (i + t) % queries.size();  // Staggered misses.
+        got[t][k] = DescribeSynopses(BuildSynopses(db, queries[k], &cache));
+      }
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    for (size_t k = 0; k < queries.size(); ++k) {
+      EXPECT_EQ(got[t][k], expected[k]) << "thread " << t << " query " << k;
+    }
+  }
 }
 
 /// Deadline objects shared across threads: Expired()/RemainingSeconds()
