@@ -45,12 +45,11 @@ bool ChunkColumnStats::MayContainEqual(const Value& v) const {
   return true;
 }
 
-ChunkColumnStats BuildChunkColumnStats(const Segment& segment) {
+ChunkColumnStats BuildChunkColumnStats(const ColumnRun& run) {
   ChunkColumnStats stats;
-  if (segment.size() == 0) return stats;
+  if (run.length == 0) return stats;
   stats.valid = true;
 
-  ColumnRun run = segment.Run(0);
   if (run.encoding == SegmentEncoding::kDictionary) {
     // The dictionary is sorted: bounds are its ends, distinct its size.
     stats.distinct = static_cast<uint32_t>(run.dict_size);
@@ -70,8 +69,18 @@ ChunkColumnStats BuildChunkColumnStats(const Segment& segment) {
         break;
       }
       case ValueType::kDouble: {
-        auto [lo, hi] =
-            std::minmax_element(run.doubles, run.doubles + run.length);
+        // NaN orders against nothing, so it must not decide the bounds.
+        // The others keep std::minmax_element's choice among equals (the
+        // first smallest, the last largest: -0.0 vs 0.0). All NaN: NaN.
+        const double* const end = run.doubles + run.length;
+        const double* lo = std::find_if(
+            run.doubles, end, [](double d) { return !std::isnan(d); });
+        const double* hi = lo;
+        if (lo == end) lo = hi = run.doubles;
+        for (const double* d = lo; d != end; ++d) {
+          if (*d < *lo) lo = d;
+          if (*d >= *hi) hi = d;
+        }
         stats.min = Value(*lo);
         stats.max = Value(*hi);
         break;

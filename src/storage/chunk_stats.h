@@ -45,8 +45,14 @@ struct ChunkColumnStats {
   bool MayContainEqual(const Value& v) const;
 };
 
+/// Builds the statistics of one sealed run of values: a whole segment
+/// (Segment::Run) or, in tests, a run over reference buffers.
+ChunkColumnStats BuildChunkColumnStats(const ColumnRun& run);
+
 /// Builds the statistics of one sealed segment.
-ChunkColumnStats BuildChunkColumnStats(const Segment& segment);
+inline ChunkColumnStats BuildChunkColumnStats(const Segment& segment) {
+  return BuildChunkColumnStats(segment.Run(0));
+}
 
 }  // namespace cqa
 

@@ -29,8 +29,14 @@ const Relation& Database::relation(const std::string& name) const {
 FactRef Database::Insert(size_t relation_id, Tuple t) {
   CQA_CHECK(relation_id < relations_.size());
   DropBlockIndex();
-  size_t row = relations_[relation_id].Insert(std::move(t));
+  size_t row = relations_[relation_id].Insert(t);
   return FactRef{relation_id, row};
+}
+
+Relation& Database::AppendTarget(size_t relation_id) {
+  CQA_CHECK(relation_id < relations_.size());
+  DropBlockIndex();
+  return relations_[relation_id];
 }
 
 FactRef Database::Insert(const std::string& relation, Tuple t) {

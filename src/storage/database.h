@@ -37,14 +37,21 @@ class Database {
   const Schema& schema() const { return *schema_; }
   size_t NumRelations() const { return relations_.size(); }
 
-  // Relations are read-only from outside: Insert and SealStorage are the
-  // only mutators, so the cached block index cannot go stale unseen.
+  // Relations are read-only from outside: Insert, AppendTarget and
+  // SealStorage are the only mutators, and each drops the cached block
+  // index, so it cannot go stale unseen.
   const Relation& relation(size_t id) const { return relations_[id]; }
   const Relation& relation(const std::string& name) const;
 
   /// Appends a fact to relation `relation_id`.
   FactRef Insert(size_t relation_id, Tuple t);
   FactRef Insert(const std::string& relation, Tuple t);
+
+  /// Relation `relation_id`, to append rows to in bulk
+  /// (Relation::AppendRow): the block index is dropped once here instead
+  /// of once per row as Insert does. Nothing may call block_index() until
+  /// the appends are done.
+  Relation& AppendTarget(size_t relation_id);
 
   /// Total number of facts across relations.
   size_t NumFacts() const;

@@ -111,21 +111,19 @@ Tuple Relation::KeyOf(size_t i) const {
   return key;
 }
 
-size_t Relation::Insert(Tuple t) {
-  CQA_CHECK_MSG(t.size() == schema_->arity(), schema_->name().c_str());
-  for (size_t col = 0; col < t.size(); ++col) {
-    ValueType want = schema_->attribute(col).type;
-    CQA_CHECK_MSG(t[col].type() == want, schema_->name().c_str());
+size_t Relation::AppendRow(std::span<const FieldView> row) {
+  CQA_DCHECK(row.size() == schema_->arity());
+  for (size_t col = 0; col < row.size(); ++col) {
     TailColumn& tc = tail_[col];
-    switch (want) {
+    switch (schema_->attribute(col).type) {
       case ValueType::kInt:
-        tc.ints.push_back(t[col].AsInt());
+        tc.ints.push_back(row[col].i);
         break;
       case ValueType::kDouble:
-        tc.doubles.push_back(t[col].AsDouble());
+        tc.doubles.push_back(row[col].d);
         break;
       case ValueType::kString:
-        tc.strings.push_back(t[col].AsString());
+        tc.strings.emplace_back(row[col].s);
         break;
     }
   }
@@ -133,6 +131,35 @@ size_t Relation::Insert(Tuple t) {
   ++num_rows_;
   if (tail_rows_ == chunk_capacity_) SealTailChunk();
   return num_rows_ - 1;
+}
+
+size_t Relation::Insert(const Tuple& t) {
+  CQA_CHECK_MSG(t.size() == schema_->arity(), schema_->name().c_str());
+  // Rows up to kInlineFields wide stage on the stack.
+  constexpr size_t kInlineFields = 32;
+  FieldView inline_fields[kInlineFields];
+  std::vector<FieldView> wide;
+  std::span<FieldView> fields(inline_fields, std::min(t.size(), kInlineFields));
+  if (t.size() > kInlineFields) {
+    wide.resize(t.size());
+    fields = wide;
+  }
+  for (size_t col = 0; col < t.size(); ++col) {
+    CQA_CHECK_MSG(t[col].type() == schema_->attribute(col).type,
+                  schema_->name().c_str());
+    switch (t[col].type()) {
+      case ValueType::kInt:
+        fields[col].i = t[col].AsInt();
+        break;
+      case ValueType::kDouble:
+        fields[col].d = t[col].AsDouble();
+        break;
+      case ValueType::kString:
+        fields[col].s = t[col].AsString();
+        break;
+    }
+  }
+  return AppendRow(fields);
 }
 
 void Relation::SealTailChunk() {

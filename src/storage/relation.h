@@ -1,18 +1,21 @@
-// A relation stored as chunked columnar segments. Facts append into plain
-// per-column tail buffers; every kDefaultChunkCapacity rows the tail is
-// sealed into an immutable chunk of typed Segments (dictionary-encoded
-// where profitable) with per-column ChunkColumnStats. Row indexes are
-// stable (no deletion), which keeps FactRef, block ids and tuple ids valid
-// while noise is injected. Readers consume column runs through
-// ForEachRun/ScanMatching (the vectorized path), read typed slots through
-// SlotAt (the query evaluator), or materialize tuples through the row-view
-// adapter (row/rows/KeyOf), which preserves the pre-columnar API. See
-// docs/storage.md for the full storage contract.
+// A relation stored as chunked columnar segments. Facts append (AppendRow,
+// or Insert over it) into plain per-column tail buffers; every
+// kDefaultChunkCapacity rows the tail is sealed into an immutable chunk of
+// typed Segments (dictionary-encoded where profitable) with per-column
+// ChunkColumnStats. Row indexes are stable (no deletion), which keeps
+// FactRef, block ids and tuple ids valid while noise is injected. Readers
+// consume column runs through ForEachRun/ScanMatching (the vectorized
+// path), read typed slots through SlotAt (the query evaluator), or
+// materialize tuples through the row-view adapter (row/rows/KeyOf), which
+// preserves the pre-columnar API. See docs/storage.md for the full storage
+// contract.
 #ifndef CQABENCH_STORAGE_RELATION_H_
 #define CQABENCH_STORAGE_RELATION_H_
 
 #include <atomic>
 #include <functional>
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "common/macros.h"
@@ -45,13 +48,22 @@ struct FactRefHash {
   }
 };
 
+/// One field of a row on its way into a relation (Relation::AppendRow):
+/// `i` for an int column, `d` for a double column, or the bytes of a string
+/// column's value in `s`, which the append copies.
+struct FieldView {
+  int64_t i = 0;
+  double d = 0.0;
+  std::string_view s;
+};
+
 /// An in-memory instance of one relation: a bag of facts in insertion
 /// order, stored column-wise in chunks.
 class Relation {
  public:
   /// Rows per sealed chunk. Small enough that a chunk's working set stays
   /// cache-resident during scans, large enough to amortize the dictionary
-  /// sort at seal time.
+  /// build at seal time.
   static constexpr size_t kDefaultChunkCapacity = 4096;
 
   explicit Relation(const RelationSchema* schema,
@@ -101,9 +113,15 @@ class Relation {
 
   // --- Mutation ---------------------------------------------------------
 
-  /// Appends a tuple; aborts if the arity or a value type does not match
-  /// the schema. Returns the new row index.
-  size_t Insert(Tuple t);
+  /// Appends one row, field `c` typed as column `c` (arity and types are
+  /// the caller's to check: the .tbl loader parses into them). Seals the
+  /// tail when it fills. Returns the new row index. The one way rows enter
+  /// a relation.
+  size_t AppendRow(std::span<const FieldView> row);
+
+  /// Appends a tuple through AppendRow; aborts if the arity or a value
+  /// type does not match the schema. Returns the new row index.
+  size_t Insert(const Tuple& t);
 
   /// Seals the open tail into a (possibly short) chunk so its values gain
   /// an encoding and statistics. Called by the generators and tbl loader

@@ -1,8 +1,12 @@
 #include "storage/segment.h"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
 
+#include "common/id_table.h"
 #include "common/macros.h"
+#include "common/rng.h"
 
 namespace cqa {
 
@@ -37,30 +41,42 @@ Value ColumnRun::ValueAt(size_t i) const {
 
 namespace {
 
-/// Builds a sorted duplicate-free dictionary plus per-row codes.
-template <typename T>
-void BuildDictionary(const std::vector<T>& values, std::vector<T>* dict,
-                     std::vector<uint32_t>* codes) {
-  *dict = values;
-  std::sort(dict->begin(), dict->end());
-  dict->erase(std::unique(dict->begin(), dict->end()), dict->end());
-  // The erase keeps the full-column allocation; a low-cardinality
-  // dictionary must not pin rows*sizeof(T) of dead capacity.
-  dict->shrink_to_fit();
-  codes->reserve(values.size());
-  for (const T& v : values) {
-    auto it = std::lower_bound(dict->begin(), dict->end(), v);
-    codes->push_back(static_cast<uint32_t>(it - dict->begin()));
+/// Dictionary-encodes `values` unless more than `max_distinct` of them are
+/// distinct. One pass through an IdTable numbers the distinct values in
+/// order of first appearance and stops as soon as there are too many;
+/// then only the distinct values are sorted, moved into `dict` in
+/// ascending order, and the codes renumbered to match. On failure returns
+/// false and leaves `values`, `dict` and `codes` as they were.
+template <typename T, typename Hash>
+bool EncodeDictionary(std::vector<T>& values, size_t max_distinct, Hash hash,
+                      std::vector<T>* dict, std::vector<uint32_t>* codes) {
+  IdTable ids;
+  std::vector<uint32_t> first_rows;  // Per number: where its value is.
+  std::vector<uint32_t> numbers(values.size());
+  for (size_t row = 0; row < values.size(); ++row) {
+    const auto next = static_cast<uint32_t>(first_rows.size());
+    numbers[row] = ids.FindOrAdd(next, hash(values[row]), [&](uint32_t id) {
+      return values[first_rows[id]] == values[row];
+    });
+    if (numbers[row] == next) {
+      if (next == max_distinct) return false;
+      first_rows.push_back(static_cast<uint32_t>(row));
+    }
   }
-}
-
-/// Number of distinct values (sort-based, consumes a scratch copy).
-template <typename T>
-size_t CountDistinct(const std::vector<T>& values) {
-  std::vector<T> scratch = values;
-  std::sort(scratch.begin(), scratch.end());
-  return static_cast<size_t>(
-      std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+  std::vector<uint32_t> by_value(first_rows.size());
+  std::iota(by_value.begin(), by_value.end(), 0u);
+  std::sort(by_value.begin(), by_value.end(), [&](uint32_t a, uint32_t b) {
+    return values[first_rows[a]] < values[first_rows[b]];
+  });
+  std::vector<uint32_t> code_of(first_rows.size());
+  dict->reserve(first_rows.size());
+  for (size_t code = 0; code < by_value.size(); ++code) {
+    code_of[by_value[code]] = static_cast<uint32_t>(code);
+    dict->push_back(std::move(values[first_rows[by_value[code]]]));
+  }
+  for (uint32_t& number : numbers) number = code_of[number];
+  *codes = std::move(numbers);
+  return true;
 }
 
 }  // namespace
@@ -69,10 +85,10 @@ Segment Segment::SealInts(std::vector<int64_t> values) {
   Segment s;
   s.type_ = ValueType::kInt;
   s.size_ = values.size();
-  size_t distinct = values.empty() ? 0 : CountDistinct(values);
-  if (!values.empty() && 2 * distinct <= values.size()) {
+  auto hash = [](int64_t v) { return SplitMix64(static_cast<uint64_t>(v)); };
+  if (!values.empty() && EncodeDictionary(values, values.size() / 2, hash,
+                                          &s.int_dict_, &s.codes_)) {
     s.encoding_ = SegmentEncoding::kDictionary;
-    BuildDictionary(values, &s.int_dict_, &s.codes_);
   } else {
     s.encoding_ = SegmentEncoding::kPlain;
     s.ints_ = std::move(values);
@@ -93,10 +109,11 @@ Segment Segment::SealStrings(std::vector<std::string> values) {
   Segment s;
   s.type_ = ValueType::kString;
   s.size_ = values.size();
-  size_t distinct = values.empty() ? 0 : CountDistinct(values);
-  if (!values.empty() && distinct < values.size()) {
+  // std::hash over the bytes is already mixed in its low bits.
+  auto hash = [](const std::string& v) { return std::hash<std::string>{}(v); };
+  if (!values.empty() && EncodeDictionary(values, values.size() - 1, hash,
+                                          &s.string_dict_, &s.codes_)) {
     s.encoding_ = SegmentEncoding::kDictionary;
-    BuildDictionary(values, &s.string_dict_, &s.codes_);
   } else {
     s.encoding_ = SegmentEncoding::kPlain;
     s.strings_ = std::move(values);

@@ -60,7 +60,9 @@ struct ColumnRun {
 ///   * double columns always stay plain (bit-exact round-trip matters more
 ///     than the rare low-cardinality double column).
 /// Dictionaries are sorted ascending and duplicate-free, so code order
-/// mirrors value order and min/max fall out of the dictionary ends.
+/// mirrors value order and min/max fall out of the dictionary ends. A seal
+/// numbers the distinct values in one hash pass that stops as soon as the
+/// rule fails, so only a dictionary's own entries are ever sorted.
 class Segment {
  public:
   Segment() = default;

@@ -1,9 +1,14 @@
 #include "storage/tbl_io.h"
 
+#include <cerrno>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <fstream>
-#include <sstream>
+#include <memory>
+#include <string_view>
+#include <system_error>
+#include <vector>
 
 namespace cqa {
 
@@ -48,32 +53,62 @@ bool AppendRunField(const ColumnRun& run, size_t i, std::string* line,
   return true;
 }
 
-bool ParseField(const std::string& field, ValueType type, Value* out,
-                std::string* error) {
-  switch (type) {
-    case ValueType::kInt: {
-      char* end = nullptr;
-      long long v = std::strtoll(field.c_str(), &end, 10);
-      if (end == field.c_str() || *end != '\0') {
-        return Fail(error, "bad int field: " + field);
-      }
-      *out = Value(static_cast<int64_t>(v));
-      return true;
+/// Parses the number in `text` with std::from_chars, which takes exactly
+/// what WriteTblFile emits (a '-' sign, inf/nan, subnormals bit-exactly)
+/// and refuses leading blanks, '+', hex floats and out-of-range values.
+template <typename T>
+bool ParseNumber(std::string_view text, const char* kind, T* out,
+                 std::string* reason) {
+  const char* const end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  if (ptr == end && ec == std::errc()) return true;
+  *reason = ptr == end && ec == std::errc::result_out_of_range
+                ? std::string(kind) + " field out of range: "
+                : "bad " + std::string(kind) + " field: ";
+  reason->append(text);
+  return false;
+}
+
+/// Checks one line (without its newline) into `fields`, one per
+/// attribute; string fields become views into the line. On failure stores
+/// the reason and returns false, so a bad line appends nothing.
+bool ParseLine(std::string_view line, const RelationSchema& schema,
+               std::vector<FieldView>* fields, std::string* reason) {
+  size_t n = 0;
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  while (p < end) {
+    const auto* bar = static_cast<const char*>(std::memchr(p, '|', end - p));
+    if (bar == nullptr) {
+      *reason = "unterminated field";
+      return false;
     }
-    case ValueType::kDouble: {
-      char* end = nullptr;
-      double v = std::strtod(field.c_str(), &end);
-      if (end == field.c_str() || *end != '\0') {
-        return Fail(error, "bad double field: " + field);
-      }
-      *out = Value(v);
-      return true;
+    if (n >= schema.arity()) {
+      *reason = "too many fields";
+      return false;
     }
-    case ValueType::kString:
-      *out = Value(field);
-      return true;
+    const std::string_view text(p, static_cast<size_t>(bar - p));
+    FieldView& field = (*fields)[n];
+    switch (schema.attribute(n).type) {
+      case ValueType::kInt:
+        if (!ParseNumber(text, "int", &field.i, reason)) return false;
+        break;
+      case ValueType::kDouble:
+        if (!ParseNumber(text, "double", &field.d, reason)) return false;
+        break;
+      case ValueType::kString:
+        field.s = text;
+        break;
+    }
+    ++n;
+    p = bar + 1;
   }
-  return Fail(error, "unknown value type");
+  if (n != schema.arity()) {
+    *reason = "expected " + std::to_string(schema.arity()) + " fields, got " +
+              std::to_string(n);
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
@@ -122,47 +157,64 @@ bool WriteTblDirectory(const Database& db, const std::string& dir,
 
 bool ReadTblFile(Database* db, const std::string& relation_name,
                  const std::string& path, std::string* error) {
+  size_t line_number = 0;
+  auto fail = [&](const std::string& reason) {
+    return Fail(error, path + ":" + std::to_string(line_number) + ": " +
+                           reason);
+  };
   auto relation_id = db->schema().FindRelation(relation_name);
   if (!relation_id.has_value()) {
-    return Fail(error, "unknown relation " + relation_name);
+    return fail("unknown relation " + relation_name);
   }
   const RelationSchema& schema = db->schema().relation(*relation_id);
+  std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (file == nullptr) return fail(std::string("cannot open: ") +
+                                   std::strerror(errno));
+  // Reads go straight into `block`: the stream keeps no buffer of its own.
+  std::setvbuf(file.get(), nullptr, _IONBF, 0);
 
-  std::ifstream in(path);
-  if (!in) return Fail(error, "cannot open " + path);
-  std::string line;
-  size_t line_number = 0;
-  while (std::getline(in, line)) {
+  Relation& relation = db->AppendTarget(*relation_id);
+  std::vector<FieldView> fields(schema.arity());
+  std::string reason;
+  auto take_line = [&](std::string_view line) {
     ++line_number;
-    if (line.empty()) continue;
-    Tuple tuple;
-    tuple.reserve(schema.arity());
-    size_t start = 0;
-    while (start < line.size()) {
-      size_t bar = line.find('|', start);
-      if (bar == std::string::npos) {
-        return Fail(error, path + ":" + std::to_string(line_number) +
-                               ": unterminated field");
+    if (line.empty()) return true;
+    if (!ParseLine(line, schema, &fields, &reason)) return false;
+    relation.AppendRow(fields);
+    return true;
+  };
+  const std::unique_ptr<char[]> block(new char[kTblReadBlockBytes]);
+  std::string carry;  // The start of a line that straddles a block edge.
+  for (;;) {
+    const size_t got =
+        std::fread(block.get(), 1, kTblReadBlockBytes, file.get());
+    if (got == 0) break;
+    const char* p = block.get();
+    const char* const end = p + got;
+    while (p < end) {
+      const auto* newline =
+          static_cast<const char*>(std::memchr(p, '\n', end - p));
+      if (newline == nullptr) {
+        carry.append(p, end);
+        break;
       }
-      if (tuple.size() >= schema.arity()) {
-        return Fail(error, path + ":" + std::to_string(line_number) +
-                               ": too many fields");
+      const std::string_view rest(p, static_cast<size_t>(newline - p));
+      bool ok;
+      if (carry.empty()) {
+        ok = take_line(rest);
+      } else {
+        carry.append(rest);
+        ok = take_line(carry);
+        carry.clear();
       }
-      Value v;
-      if (!ParseField(line.substr(start, bar - start),
-                      schema.attribute(tuple.size()).type, &v, error)) {
-        return false;
-      }
-      tuple.push_back(std::move(v));
-      start = bar + 1;
+      if (!ok) return fail(reason);
+      p = newline + 1;
     }
-    if (tuple.size() != schema.arity()) {
-      return Fail(error, path + ":" + std::to_string(line_number) +
-                             ": expected " + std::to_string(schema.arity()) +
-                             " fields, got " + std::to_string(tuple.size()));
-    }
-    db->Insert(*relation_id, std::move(tuple));
   }
+  if (std::ferror(file.get()) != 0) return fail("read error");
+  // The last line may lack its newline.
+  if (!carry.empty() && !take_line(carry)) return fail(reason);
   // Seal so the freshly loaded relation carries encodings and chunk
   // statistics even when its size is not a chunk-capacity multiple.
   db->SealStorage();

@@ -1,10 +1,12 @@
 // dbgen-compatible `.tbl` readers and writers. Writing streams straight
-// out of column runs (no tuple materialization); reading appends into the
-// relations' tail buffers and seals them, so loaded instances carry
-// segment encodings and chunk statistics end to end.
+// out of column runs (no tuple materialization). Reading streams the file
+// in fixed blocks, parses each line in place into typed fields and appends
+// them to the relation's tail columns, then seals, so loaded instances
+// carry segment encodings and chunk statistics end to end.
 #ifndef CQABENCH_STORAGE_TBL_IO_H_
 #define CQABENCH_STORAGE_TBL_IO_H_
 
+#include <cstddef>
 #include <string>
 
 #include "storage/database.h"
@@ -26,10 +28,20 @@ bool WriteTblFile(const Relation& relation, const std::string& path,
 bool WriteTblDirectory(const Database& db, const std::string& dir,
                        std::string* error);
 
-/// Appends the facts of `path` to the named relation of *db, validating
-/// arity and coercing each field to the attribute type. Seals the
+/// Bytes ReadTblFile reads at a time. Lines are split in place inside a
+/// block; only a line that straddles a block edge is copied, so memory
+/// beyond the relation is one block plus the longest line.
+inline constexpr size_t kTblReadBlockBytes = size_t{1} << 20;
+
+/// Appends the facts of `path` to the named relation of *db. Each line is
+/// checked whole (arity, and each field parsed as its attribute's type:
+/// ints and doubles by std::from_chars, so no leading blank, no '+', no
+/// hex float, nothing out of range) before any of it is appended. Empty
+/// lines are skipped; the last line may lack its newline. Seals the
 /// database's storage afterwards (Database::SealStorage), so loaded
-/// instances are fully columnar.
+/// instances are fully columnar. On failure returns false with
+/// "<path>:<line>: <reason>" in *error (line 0: the file as a whole);
+/// the lines before the bad one stay appended, unsealed.
 bool ReadTblFile(Database* db, const std::string& relation_name,
                  const std::string& path, std::string* error);
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -78,6 +81,54 @@ TEST(ChunkStatsTest, DoubleHistogram) {
     EXPECT_TRUE(stats.MayContainEqual(Value(v)));
   }
   EXPECT_FALSE(stats.MayContainEqual(Value(1.5)));
+}
+
+// A NaN orders against nothing, so it must not decide the bounds: with
+// one first in the chunk, std::minmax_element kept it as the minimum and
+// missed the larger values after it, and the statistics then "proved"
+// that the chunk held no 7.0 or infinity. (Found by the .tbl fuzzer: a
+// loaded NaN failed audit::CheckColumnarStorage.)
+TEST(ChunkStatsTest, NanDoesNotHideTheBounds) {
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const std::vector<double>& values :
+       {std::vector<double>{-kNan, kInf, -kInf, 0.5, 7.0, kNan, -0.0},
+        std::vector<double>{kNan, 1.0, 7.0, kInf, -2.0},
+        std::vector<double>{1.0, kNan, -kInf, 7.0},
+        std::vector<double>{-kNan, kNan}}) {
+    ChunkColumnStats stats =
+        BuildChunkColumnStats(Segment::SealDoubles(std::vector<double>(values)));
+    double lo = kNan, hi = kNan;  // Over the non-NaN values.
+    for (double v : values) {
+      if (std::isnan(v)) continue;
+      EXPECT_TRUE(stats.MayContainEqual(Value(v))) << v;
+      EXPECT_FALSE(Value(v) < stats.min || stats.max < Value(v)) << v;
+      lo = std::isnan(lo) ? v : std::min(lo, v);
+      hi = std::isnan(hi) ? v : std::max(hi, v);
+    }
+    // The bounds are tight, so they still prune around the NaN.
+    if (std::isnan(lo)) {
+      EXPECT_TRUE(std::isnan(stats.min.AsDouble()));
+    } else {
+      EXPECT_EQ(stats.min, Value(lo));
+      EXPECT_EQ(stats.max, Value(hi));
+    }
+  }
+
+  RelationSchema rs("r", {{"x", ValueType::kDouble}});
+  Schema schema;
+  schema.AddRelation(rs);
+  Database db(&schema);
+  for (double v : {kNan, kInf, 1.0, kNan, 0.0}) db.Insert("r", {Value(v)});
+  db.SealStorage();
+  std::string why;
+  EXPECT_TRUE(audit::CheckColumnarStorage(db, &why)) << why;
+  size_t hits = 0;
+  db.relation(0).ScanMatching({0}, {Value(kInf)}, [&](size_t) {
+    ++hits;
+    return true;
+  });
+  EXPECT_EQ(hits, 1u);
 }
 
 /// The load-bearing property: for any chunked relation and any probe

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "test_util.h"
 
@@ -44,6 +45,39 @@ TEST(RelationTest, KeyOfWithoutKeyIsWholeTuple) {
   Database db(&schema);
   db.Insert("log", {Value("hello")});
   EXPECT_EQ(db.relation("log").KeyOf(0), (Tuple{Value("hello")}));
+}
+
+// Insert stages a row on the stack up to 32 fields and on the heap
+// beyond; both go through AppendRow and read back field for field.
+TEST(RelationTest, InsertStagesRowsOfAnyWidth) {
+  for (size_t arity : {1, 32, 33, 40}) {
+    std::vector<Attribute> attributes;
+    for (size_t c = 0; c < arity; ++c) {
+      attributes.push_back({"c" + std::to_string(c),
+                            static_cast<ValueType>(c % 3)});
+    }
+    const RelationSchema rs("wide", attributes);
+    Relation rel(&rs);
+    for (int64_t r = 0; r < 3; ++r) {
+      Tuple t;
+      for (size_t c = 0; c < arity; ++c) {
+        const int64_t v = r * 100 + static_cast<int64_t>(c);
+        switch (c % 3) {
+          case 0:
+            t.push_back(Value(v));
+            break;
+          case 1:
+            t.push_back(Value(static_cast<double>(v) / 2));
+            break;
+          default:
+            t.push_back(Value("a string of more than 15 bytes " +
+                              std::to_string(v)));
+        }
+      }
+      EXPECT_EQ(rel.Insert(t), static_cast<size_t>(r));
+      EXPECT_EQ(rel.row(static_cast<size_t>(r)), t) << "arity " << arity;
+    }
+  }
 }
 
 /// Inserts rows [from, to) of a fixed three-column pattern: an int that
