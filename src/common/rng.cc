@@ -1,10 +1,63 @@
 #include "common/rng.h"
 
+#include <algorithm>
 #include <unordered_set>
 
 #include "common/macros.h"
 
 namespace cqa {
+
+namespace {
+
+constexpr size_t kMiddle = 156;  // MT19937-64's middle-word offset m.
+constexpr uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+constexpr uint64_t kUpperMask = ~uint64_t{0} << 31;
+constexpr uint64_t kLowerMask = ~kUpperMask;
+
+/// One twist step: the upper 33 bits of `hi` joined to the lower 31 of
+/// `lo`, shifted right, with `a` folded in by the low bit as a mask rather
+/// than a branch.
+inline uint64_t Twist(uint64_t far, uint64_t hi, uint64_t lo) {
+  const uint64_t y = (hi & kUpperMask) | (lo & kLowerMask);
+  return far ^ (y >> 1) ^ ((0 - (y & 1)) & kMatrixA);
+}
+
+}  // namespace
+
+MersenneTwister64::MersenneTwister64(uint64_t seed) : next_(kStateSize) {
+  state_[0] = seed;
+  for (size_t i = 1; i < kStateSize; ++i) {
+    const uint64_t prev = state_[i - 1];
+    state_[i] = 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+}
+
+void MersenneTwister64::Refill() {
+  constexpr size_t n = kStateSize;
+  size_t k = 0;
+  for (; k < n - kMiddle; ++k) {
+    state_[k] = Twist(state_[k + kMiddle], state_[k], state_[k + 1]);
+  }
+  for (; k < n - 1; ++k) {
+    state_[k] = Twist(state_[k + kMiddle - n], state_[k], state_[k + 1]);
+  }
+  state_[n - 1] = Twist(state_[kMiddle - 1], state_[n - 1], state_[0]);
+  next_ = 0;
+}
+
+void MersenneTwister64::discard(uint64_t n) {
+  while (n > kStateSize - next_) {
+    n -= kStateSize - next_;
+    Refill();
+  }
+  next_ += n;
+}
+
+bool operator==(const MersenneTwister64& a, const MersenneTwister64& b) {
+  return a.next_ == b.next_ &&
+         std::equal(a.state_, a.state_ + MersenneTwister64::kStateSize,
+                    b.state_);
+}
 
 uint64_t Rng::ForkSeed() {
   // Mixing the fork ordinal in before the engine draw keeps sibling seeds

@@ -1,15 +1,23 @@
 #include "storage/audit.h"
 
+#include <cstdarg>
 #include <cstdio>
 
 namespace cqa::audit {
 
 namespace {
 
-bool Fail(std::string* why, const char* fmt, size_t a, size_t b, size_t c) {
+/// Writes the printf-formatted diagnostic to *why (when non-null) and
+/// returns false. The format attribute has the compiler check every
+/// message against its arguments.
+__attribute__((format(printf, 2, 3))) bool Fail(std::string* why,
+                                                const char* fmt, ...) {
   if (why != nullptr) {
-    char buf[160];
-    std::snprintf(buf, sizeof(buf), fmt, a, b, c);
+    char buf[192];
+    va_list args;
+    va_start(args, fmt);
+    std::vsnprintf(buf, sizeof(buf), fmt, args);
+    va_end(args);
     *why = buf;
   }
   return false;
@@ -20,8 +28,8 @@ bool Fail(std::string* why, const char* fmt, size_t a, size_t b, size_t c) {
 bool CheckBlockPartition(const Database& db, const BlockIndex& index,
                          std::string* why) {
   if (index.NumRelations() != db.NumRelations()) {
-    return Fail(why, "index covers %zu relations, database has %zu (%zu)",
-                index.NumRelations(), db.NumRelations(), 0);
+    return Fail(why, "index covers %zu relations, database has %zu",
+                index.NumRelations(), db.NumRelations());
   }
   for (size_t rid = 0; rid < db.NumRelations(); ++rid) {
     const Relation& rel = db.relation(rid);
@@ -32,8 +40,7 @@ bool CheckBlockPartition(const Database& db, const BlockIndex& index,
     for (size_t bid = 0; bid < rbi.NumBlocks(); ++bid) {
       const std::span<const uint32_t> rows = rbi.block(bid);
       if (rows.empty()) {
-        return Fail(why, "relation %zu: block %zu is empty (%zu)", rid, bid,
-                    0);
+        return Fail(why, "relation %zu: block %zu is empty", rid, bid);
       }
       for (size_t tid = 0; tid < rows.size(); ++tid) {
         size_t row = rows[tid];
@@ -76,7 +83,7 @@ bool CheckRepairSelection(const Database& db, const BlockIndex& index,
       if (pos >= selection.size()) {
         return Fail(why, "selection has %zu facts, fewer than the %zu "
                          "blocks of the database",
-                    selection.size(), index.TotalBlocks(), 0);
+                    selection.size(), index.TotalBlocks());
       }
       const FactRef& f = selection[pos];
       if (f.relation_id != rid) {
@@ -102,7 +109,7 @@ bool CheckRepairSelection(const Database& db, const BlockIndex& index,
   if (pos != selection.size()) {
     return Fail(why, "selection has %zu facts, more than the %zu blocks "
                      "of the database",
-                selection.size(), pos, 0);
+                selection.size(), pos);
   }
   return true;
 }
@@ -120,15 +127,15 @@ bool CheckColumnarStorage(const Database& db, std::string* why) {
       }
       size_t rows = rel.chunk_rows(c);
       if (rows == 0) {
-        return Fail(why, "relation %zu: chunk %zu is empty (%zu)", rid, c, 0);
+        return Fail(why, "relation %zu: chunk %zu is empty", rid, c);
       }
       expected_row0 += rows;
       for (size_t col = 0; col < arity; ++col) {
         const Segment& segment = rel.chunk_segment(c, col);
         if (segment.size() != rows) {
-          return Fail(why, "relation %zu: chunk %zu column segment holds "
-                           "%zu values, expected the chunk's rows",
-                      rid, c, segment.size());
+          return Fail(why, "relation %zu: chunk %zu column %zu segment "
+                           "holds %zu values, expected the chunk's %zu rows",
+                      rid, c, col, segment.size(), rows);
         }
         if (segment.type() != rel.schema().attribute(col).type) {
           return Fail(why, "relation %zu: chunk %zu column %zu type "
@@ -139,25 +146,25 @@ bool CheckColumnarStorage(const Database& db, std::string* why) {
         if (segment.encoding() == SegmentEncoding::kDictionary) {
           size_t ds = run.dict_size;
           if (ds == 0 || ds > rows) {
-            return Fail(why, "relation %zu: chunk %zu dictionary has %zu "
-                             "entries for a smaller chunk",
-                        rid, c, ds);
+            return Fail(why, "relation %zu: chunk %zu column %zu dictionary "
+                             "has %zu entries for %zu rows",
+                        rid, c, col, ds, rows);
           }
           for (size_t e = 1; e < ds; ++e) {
             bool sorted = run.int_dict != nullptr
                               ? run.int_dict[e - 1] < run.int_dict[e]
                               : run.string_dict[e - 1] < run.string_dict[e];
             if (!sorted) {
-              return Fail(why, "relation %zu: chunk %zu dictionary entry "
-                               "%zu out of order",
-                          rid, c, e);
+              return Fail(why, "relation %zu: chunk %zu column %zu "
+                               "dictionary entry %zu out of order",
+                          rid, c, col, e);
             }
           }
           for (size_t i = 0; i < rows; ++i) {
             if (run.codes[i] >= ds) {
-              return Fail(why, "relation %zu: chunk %zu code at offset %zu "
-                               "exceeds the dictionary",
-                          rid, c, i);
+              return Fail(why, "relation %zu: chunk %zu column %zu code at "
+                               "offset %zu exceeds the dictionary",
+                          rid, c, col, i);
             }
           }
         }
@@ -179,9 +186,10 @@ bool CheckColumnarStorage(const Database& db, std::string* why) {
             total += stats.bins[b];
           }
           if (total != rows) {
-            return Fail(why, "relation %zu: chunk %zu histogram counts %zu "
-                             "values, expected the chunk's rows",
-                        rid, c, total);
+            return Fail(why, "relation %zu: chunk %zu column %zu histogram "
+                             "counts %zu values, expected the chunk's %zu "
+                             "rows",
+                        rid, c, col, total, rows);
           }
         }
         // The one-sided pruning contract: statistics must never prove the
@@ -190,9 +198,9 @@ bool CheckColumnarStorage(const Database& db, std::string* why) {
           Value v = segment.GetValue(i);
           if (v < stats.min || stats.max < v ||
               !stats.MayContainEqual(v)) {
-            return Fail(why, "relation %zu: chunk %zu statistics reject a "
-                             "stored value at offset %zu",
-                        rid, c, i);
+            return Fail(why, "relation %zu: chunk %zu column %zu statistics "
+                             "reject a stored value at offset %zu",
+                        rid, c, col, i);
           }
         }
       }

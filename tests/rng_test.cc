@@ -3,11 +3,122 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 #include <vector>
 
 namespace cqa {
 namespace {
+
+/// Positions of the pinned words: the first two, both sides of the middle
+/// offset (156) and of the first two refills (312, 624), and two far out.
+constexpr uint64_t kPinnedPositions[] = {0,   1,   155, 156,  311,   312,
+                                         313, 623, 624, 9999, 999999};
+
+/// The words at kPinnedPositions, recorded from libstdc++'s
+/// std::mt19937_64, the engine `Rng` wrapped before the in-repo one.
+struct PinnedStream {
+  uint64_t seed;
+  uint64_t words[std::size(kPinnedPositions)];
+};
+
+constexpr PinnedStream kPinnedStreams[] = {
+    {0,
+     {0x28E837C5CB41DC3EULL, 0xFDFD3A7C3E40F98BULL, 0x9895A7B16EA1317EULL,
+      0xFAEF358B42300C11ULL, 0x9BD3214B97007557ULL, 0xF51BE9A6546B243AULL,
+      0xFAB97ED6A0880A4DULL, 0xA9989234F325BDB3ULL, 0xC2467E33BBA9F953ULL,
+      0xE2B1E4B21DBA573DULL, 0xB9A0126932F6C58BULL}},
+    {1,
+     {0x2245BD5FBB686F68ULL, 0x22EB92502318FA4EULL, 0x76FAF3CAE24A0E0FULL,
+      0x97EF88E4A7ADC4F4ULL, 0x61DD049EAA2604F0ULL, 0x3EC46EF5CCA3110BULL,
+      0xB84C3DC12D301B63ULL, 0xFBFAD860A1EA2DCDULL, 0x0085B264BC7F8110ULL,
+      0xAE0C4945538782F4ULL, 0x7277495266E0E1F7ULL}},
+    {5489,
+     {0xC96D191CF6F6AEA6ULL, 0x401F7AC78BC80F1CULL, 0x06CC239429A34614ULL,
+      0x4927012902F7E84CULL, 0x13038D24C91C1BB8ULL, 0x5E0B18C0F57393B1ULL,
+      0x2FE29C88085C779FULL, 0xD7C295AFC52A1C17ULL, 0xAB1BF7646B530A67ULL,
+      0x8A8592F5817ED872ULL, 0x3E80EF8621F8CDFAULL}},
+    {0x5DEECE66DULL,
+     {0x281993F85085014CULL, 0xC42DC44F28EB9B75ULL, 0x6804215A2037AFB5ULL,
+      0x1B0559EC0CDE8137ULL, 0x215F5BE801DC1135ULL, 0x523CAF3FEB5B3DB2ULL,
+      0x396A7C409188543DULL, 0x05366221D4038AB9ULL, 0x4BDA88A5AE507B77ULL,
+      0xE6B869213640FBC7ULL, 0xE199B89549EBDA99ULL}},
+    {0xFFFFFFFFFFFFFFFFULL,
+     {0x06A24A7A23FBC864ULL, 0xB7C9110662DD4544ULL, 0x9FBB39CF730D5840ULL,
+      0x319582428D69E0ABULL, 0x7A9EDBDEE10E5BB7ULL, 0xF8C87F16C0947106ULL,
+      0x7304CE6BBC8C681BULL, 0xB1101640CAF4C9CBULL, 0xBEDD9BF066173E2FULL,
+      0x0C79A404B8BE0872ULL, 0x37F334DAB16C0722ULL}},
+};
+
+TEST(MersenneTwister64Test, MatchesTheStandardEngineAtPinnedPositions) {
+  for (const PinnedStream& pinned : kPinnedStreams) {
+    MersenneTwister64 engine(pinned.seed);
+    size_t next = 0;
+    for (uint64_t at = 0; next < std::size(kPinnedPositions); ++at) {
+      const uint64_t word = engine();
+      if (at != kPinnedPositions[next]) continue;
+      EXPECT_EQ(word, pinned.words[next])
+          << "seed " << pinned.seed << " position " << at;
+      ++next;
+    }
+  }
+}
+
+TEST(MersenneTwister64Test, StandardRequiredValue) {
+  // [rand.predef]: the 10000th consecutive invocation of a
+  // default-constructed mt19937_64 (seed 5489) produces
+  // 9981545732273789042.
+  MersenneTwister64 engine(5489);
+  for (int i = 1; i < 10000; ++i) engine();
+  EXPECT_EQ(engine(), 9981545732273789042ULL);
+}
+
+TEST(MersenneTwister64Test, RngDrawsThePinnedStream) {
+  // Rng's default seed is the fourth pinned stream.
+  Rng rng;
+  const PinnedStream& pinned = kPinnedStreams[3];
+  ASSERT_EQ(pinned.seed, 0x5DEECE66DULL);
+  EXPECT_EQ(rng.engine()(), pinned.words[0]);
+  EXPECT_EQ(rng.engine()(), pinned.words[1]);
+  // 312 state words, the read position and the fork counter, as before.
+  EXPECT_EQ(sizeof(Rng), 2512u);
+}
+
+TEST(MersenneTwister64Test, DiscardEqualsRepeatedCalls) {
+  for (uint64_t offset : {0u, 1u, 200u, 311u, 312u}) {
+    for (uint64_t n : {0u, 1u, 111u, 112u, 311u, 312u, 313u, 624u, 1000u}) {
+      MersenneTwister64 skipped(7), stepped(7);
+      skipped.discard(offset);
+      for (uint64_t i = 0; i < offset; ++i) stepped();
+      skipped.discard(n);
+      for (uint64_t i = 0; i < n; ++i) stepped();
+      EXPECT_TRUE(skipped == stepped) << offset << " + " << n;
+      EXPECT_EQ(skipped(), stepped()) << offset << " + " << n;
+    }
+  }
+}
+
+TEST(MersenneTwister64Test, EqualityTracksState) {
+  MersenneTwister64 a(11), b(11);
+  EXPECT_TRUE(a == b);
+  for (int i = 0; i < 700; ++i) {  // Across two refills.
+    a();
+    EXPECT_FALSE(a == b) << i;
+    b();
+    ASSERT_TRUE(a == b) << i;
+  }
+  EXPECT_FALSE(MersenneTwister64(11) == MersenneTwister64(12));
+}
+
+TEST(MersenneTwister64Test, CopyContinuesIdentically) {
+  MersenneTwister64 original(13);
+  original.discard(300);
+  MersenneTwister64 copy = original;
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(copy(), original()) << i;
+  MersenneTwister64 assigned(99);
+  assigned = original;
+  for (int i = 0; i < 1000; ++i) ASSERT_EQ(assigned(), original()) << i;
+}
 
 TEST(RngTest, UniformIntStaysInRange) {
   Rng rng(1);

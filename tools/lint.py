@@ -5,7 +5,11 @@ Fast, dependency-free checks that encode conventions the compiler cannot:
 
   1. RNG discipline: all randomness flows through src/common/rng.*.  Raw
      rand()/srand()/drand48()/std::random_device/std::mt19937 anywhere else
-     makes benchmark runs unreproducible.
+     makes benchmark runs unreproducible.  So do #include <random> and any
+     std::..._distribution: a standard distribution's output is
+     implementation-defined, so a draw through one would differ between
+     standard libraries at the same seed.  (rng.* itself includes neither:
+     its Mersenne Twister is in-repo.)
   2. Obs-macro discipline: CQA_OBS_COUNT/COUNT_N/OBSERVE take a *literal*
      lowercase dotted metric name ("phase.metric_name").  Computed names
      defeat the function-local pointer cache in obs/metrics.h and would
@@ -76,7 +80,8 @@ CXX_SUFFIXES = {".cc", ".cpp", ".h"}
 
 RNG_PATTERN = re.compile(
     r"std::random_device|std::mt19937|\bdrand48\b|\bsrand\s*\(|"
-    r"(?<![\w:])rand\s*\(\s*\)"
+    r"(?<![\w:])rand\s*\(\s*\)|std::\w+_distribution\b|"
+    r"#\s*include\s*<random>"
 )
 RNG_ALLOWED = {"src/common/rng.h", "src/common/rng.cc"}
 
