@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <unordered_set>
 
 #include "common/id_table.h"
@@ -65,6 +66,33 @@ class AnswerTable {
   std::vector<ValueSlot> answer_slots_;  // Answer id × answer variable.
   IdTable ids_;
 };
+
+/// True when no relation occurs in two atoms of `q`. Then no two facts of
+/// an image share a block, so every image is consistent; and an image's
+/// fact of each relation is its one atom's, so two homomorphisms with the
+/// same image are the same homomorphism. Every image the evaluator hands
+/// on is therefore new, under its answer and across answers.
+bool ImagesAreDistinct(const ConjunctiveQuery& q) {
+  std::vector<size_t> relations;
+  for (const Atom& atom : q.atoms()) relations.push_back(atom.relation_id);
+  std::sort(relations.begin(), relations.end());
+  return std::adjacent_find(relations.begin(), relations.end()) ==
+         relations.end();
+}
+
+/// Audits ImagesAreDistinct's premise on a finished result: no synopsis
+/// repeats an image and no two answers share one.
+bool CheckImagesDistinct(std::span<const AnswerSynopsis> answers,
+                         size_t num_images, std::string* why) {
+  for (const AnswerSynopsis& as : answers) {
+    if (!audit::CheckSynopsis(as.synopsis, why)) return false;
+  }
+  if (CountDistinctImages(answers) != num_images) {
+    if (why != nullptr) *why = "two answers share an image";
+    return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -167,6 +195,9 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
   CQA_AUDIT(audit::CheckBlockPartition, db, block_index);
   PreprocessStats stats;
 
+  // No image table and no distinct-image count where the query proves
+  // every image new.
+  const bool distinct = ImagesAreDistinct(q);
   AnswerTable answer_table(q);
   std::vector<SynopsisBuilder> builders;
   CqEvaluator evaluator(&db, cache);
@@ -188,7 +219,12 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
     bool added = false;
     const uint32_t answer = answer_table.FindOrAdd(h, &added);
     if (added) builders.emplace_back();
-    if (builders[answer].AddGlobalImage(image)) ++stats.num_images;
+    if (distinct) {
+      builders[answer].AddNewGlobalImage(image);
+      ++stats.num_images;
+    } else if (builders[answer].AddGlobalImage(image)) {
+      ++stats.num_images;
+    }
     return true;
   });
 
@@ -202,7 +238,12 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
     CQA_OBS_OBSERVE("preprocess.synopsis_blocks",
                     answers[i].synopsis.NumBlocks());
   }
-  stats.num_distinct_images = CountDistinctImages(answers);
+  if (distinct) {
+    CQA_AUDIT(CheckImagesDistinct, answers, stats.num_images);
+    stats.num_distinct_images = stats.num_images;
+  } else {
+    stats.num_distinct_images = CountDistinctImages(answers);
+  }
   stats.seconds = watch.ElapsedSeconds();
   CQA_OBS_COUNT_N("preprocess.homomorphisms", stats.num_homomorphisms);
   CQA_OBS_COUNT_N("preprocess.consistent_images", stats.num_images);

@@ -123,12 +123,23 @@ bool SynopsisBuilder::AddImage(std::span<const Synopsis::ImageFact> facts) {
 }
 
 bool SynopsisBuilder::AddGlobalImage(std::span<const GlobalFact> image) {
+  return CommitImage(AppendGlobalFacts(image));
+}
+
+void SynopsisBuilder::AddNewGlobalImage(std::span<const GlobalFact> image) {
+  CQA_CHECK_MSG(image_slots_.empty(),
+                "AddNewGlobalImage on a builder that deduplicates images");
+  SortImage(AppendGlobalFacts(image));
+  EndImage();
+}
+
+size_t SynopsisBuilder::AppendGlobalFacts(std::span<const GlobalFact> image) {
   const size_t begin = synopsis_.facts_.size();
   for (const GlobalFact& g : image) {
     const uint32_t block = LocalBlock(g.relation_id, g.block_id, g.block_size);
     synopsis_.facts_.push_back(Synopsis::ImageFact{block, g.tid});
   }
-  return CommitImage(begin);
+  return begin;
 }
 
 Synopsis SynopsisBuilder::Finish() {
@@ -167,7 +178,8 @@ uint32_t SynopsisBuilder::LocalBlock(uint32_t relation_id, uint32_t block_id,
   }
 }
 
-bool SynopsisBuilder::CommitImage(size_t begin) {
+std::span<const Synopsis::ImageFact> SynopsisBuilder::SortImage(
+    size_t begin) {
   std::vector<Synopsis::ImageFact>& facts = synopsis_.facts_;
   const auto first = facts.begin() + static_cast<ptrdiff_t>(begin);
   CQA_CHECK_MSG(first != facts.end(),
@@ -185,8 +197,21 @@ bool SynopsisBuilder::CommitImage(size_t begin) {
                     "inconsistent image: two facts in one block");
     }
   }
-  CQA_CHECK(facts.size() <= UINT32_MAX && NumImages() + 1 < kNoId);
+  return image;
+}
 
+void SynopsisBuilder::EndImage() {
+  const std::vector<Synopsis::ImageFact>& facts = synopsis_.facts_;
+  CQA_CHECK(facts.size() <= UINT32_MAX && NumImages() + 1 < kNoId);
+  std::vector<uint32_t>& offsets = synopsis_.image_offsets_;
+  if (offsets.empty()) offsets.push_back(0);
+  offsets.push_back(static_cast<uint32_t>(facts.size()));
+}
+
+bool SynopsisBuilder::CommitImage(size_t begin) {
+  const std::span<const Synopsis::ImageFact> image = SortImage(begin);
+  CQA_CHECK_MSG(!image_slots_.empty() || NumImages() == 0,
+                "a deduplicating add on a builder given AddNewGlobalImage");
   if ((NumImages() + 1) * 2 > image_slots_.size()) GrowImageSlots();
   const uint32_t hash = HashImage(image);
   const size_t mask = image_slots_.size() - 1;
@@ -194,13 +219,11 @@ bool SynopsisBuilder::CommitImage(size_t begin) {
   for (; image_slots_[s].id != kNoId; s = (s + 1) & mask) {
     if (image_slots_[s].hash == hash &&
         std::ranges::equal(synopsis_.image(image_slots_[s].id), image)) {
-      facts.resize(begin);  // H is a set: drop the repeat.
+      synopsis_.facts_.resize(begin);  // H is a set: drop the repeat.
       return false;
     }
   }
-  std::vector<uint32_t>& offsets = synopsis_.image_offsets_;
-  if (offsets.empty()) offsets.push_back(0);
-  offsets.push_back(static_cast<uint32_t>(facts.size()));
+  EndImage();
   image_slots_[s] = ImageSlot{static_cast<uint32_t>(NumImages() - 1), hash};
   return true;
 }

@@ -137,16 +137,19 @@ bool CanonicalizeImage(std::vector<GlobalFact>* image);
 
 /// Builds one Synopsis, the only way to make one. Blocks come either as
 /// an explicit list (AddBlock: files, hand-built synopses) or from images
-/// in database coordinates (AddGlobalImage: the preprocessing paths, which
-/// number local blocks in order of first appearance); one builder uses
-/// one of the two.
+/// in database coordinates (AddGlobalImage, AddNewGlobalImage: the
+/// preprocessing paths, which number local blocks in order of first
+/// appearance); one builder uses one of the two.
 ///
 /// Homomorphisms cost no heap allocation beyond amortized array growth:
 /// each image's facts are written straight to the tail of the packed
-/// fact array and deduplicated there through an open-addressing table of
-/// image ids (H is a set), and database blocks map to local ones through
-/// a second open-addressing table of block ids. Both tables are freed,
-/// and every array trimmed to its size, by Finish().
+/// fact array, sorted there and deduplicated through an open-addressing
+/// table of image ids (H is a set), and database blocks map to local ones
+/// through a second open-addressing table of block ids. A caller that
+/// knows every image is new (BuildSynopses on a query in which no relation
+/// occurs twice) adds them with AddNewGlobalImage, and the builder keeps
+/// no image table at all. Both tables are freed, and every array trimmed
+/// to its size, by Finish().
 class SynopsisBuilder {
  public:
   SynopsisBuilder() = default;
@@ -175,6 +178,11 @@ class SynopsisBuilder {
   /// identical image was already present.
   bool AddGlobalImage(std::span<const GlobalFact> image);
 
+  /// AddGlobalImage for an image the caller knows is not yet present: no
+  /// image table is kept or probed. A builder given this never takes a
+  /// deduplicating add, and the other way round (either aborts).
+  void AddNewGlobalImage(std::span<const GlobalFact> image);
+
   /// Frees the build-time tables, trims every array to its size and
   /// returns the synopsis. The builder is empty afterwards.
   Synopsis Finish();
@@ -183,8 +191,14 @@ class SynopsisBuilder {
   // Local block of (relation, block), added with `size` on first sight.
   uint32_t LocalBlock(uint32_t relation_id, uint32_t block_id,
                       uint32_t size);
-  // Sorts, dedups and checks the facts appended after `begin`, then keeps
-  // them as a new image unless an identical one exists.
+  // Appends the image's facts with local blocks; returns where they begin.
+  size_t AppendGlobalFacts(std::span<const GlobalFact> image);
+  // Sorts, dedups and checks the facts appended after `begin`.
+  std::span<const Synopsis::ImageFact> SortImage(size_t begin);
+  // Ends the image whose facts close the packed fact array.
+  void EndImage();
+  // SortImage, then keeps the facts as a new image unless an identical one
+  // exists.
   bool CommitImage(size_t begin);
   void GrowImageSlots();
   void GrowBlockSlots();

@@ -2,12 +2,12 @@
 #define CQABENCH_TESTS_REFERENCE_EVALUATOR_H_
 
 // A test-local reference for CqEvaluator: the Value-based backtracking
-// loop the typed evaluator replaced, with a Tuple-keyed hash index and the
-// same greedy atom order and access paths. It copies Values into a full
-// assignment and recomputes the bound positions on every step, which is
-// slow but plainly follows Value semantics (type tag first, doubles by ==,
-// strings by bytes). The differential and fuzz tests compare the whole
-// homomorphism sequence of both evaluators.
+// loop the typed evaluator replaced, with a Tuple-keyed hash index, run in
+// the greedy atom order that defines CqEvaluator's enumeration order. It
+// copies Values into a full assignment and recomputes the bound positions
+// on every step, which is slow but plainly follows Value semantics (type
+// tag first, doubles by ==, strings by bytes). The differential and fuzz
+// tests compare the whole homomorphism sequence of both evaluators.
 
 #include <algorithm>
 #include <cstddef>
@@ -66,9 +66,9 @@ class ReferenceEvaluator {
     return out;
   }
 
- private:
-  using Index = std::unordered_map<Tuple, std::vector<size_t>, TupleHash>;
-
+  /// The greedy atom order the loop follows: most bound terms first, ties
+  /// to the smaller relation. CqEvaluator's enumeration order is defined
+  /// by it, whatever plan that evaluator runs.
   std::vector<size_t> PlanAtomOrder(const ConjunctiveQuery& q) const {
     const size_t n = q.NumAtoms();
     std::vector<bool> used(n, false);
@@ -98,6 +98,9 @@ class ReferenceEvaluator {
     }
     return order;
   }
+
+ private:
+  using Index = std::unordered_map<Tuple, std::vector<size_t>, TupleHash>;
 
   const Index& GetIndex(size_t relation_id,
                         const std::vector<size_t>& positions) {

@@ -232,6 +232,16 @@ std::string RandomQuery(Rng& rng) {
   return text + ".";
 }
 
+/// Whether no relation occurs in two atoms: BuildSynopses then knows
+/// every image is new and keeps no image table.
+bool NoRelationRepeats(const ConjunctiveQuery& q) {
+  std::set<size_t> relations;
+  for (const Atom& atom : q.atoms()) {
+    if (!relations.insert(atom.relation_id).second) return false;
+  }
+  return true;
+}
+
 // Self-joins: one image can witness two answers (for the first query,
 // r(1, 2) and r(2, 1) give X = 1 and X = 2 the same image).
 const char* const kSelfJoins[] = {
@@ -243,7 +253,7 @@ const char* const kSelfJoins[] = {
 
 TEST(SynopsisDifferentialTest, EncodersMatchTheReferenceOnRandomInstances) {
   const Schema schema = MakeSchema();
-  size_t shared_images = 0, nonempty = 0;
+  size_t shared_images = 0, nonempty = 0, distinct_multi = 0;
   for (int instance = 0; instance < 240; ++instance) {
     Rng rng(7000 + instance);
     Database db(&schema);
@@ -260,12 +270,16 @@ TEST(SynopsisDifferentialTest, EncodersMatchTheReferenceOnRandomInstances) {
                  what + " (BuildSynopsesViaRewriting)");
       nonempty += ref.num_images > 0;
       shared_images += ref.num_distinct_images < ref.num_images;
+      distinct_multi += NoRelationRepeats(q) && ref.answers.size() >= 2;
       if (HasFailure()) return;
     }
   }
-  // The generator must reach the interesting cases, or the test is weak.
+  // The generator must reach the interesting cases, or the test is weak:
+  // self-joins whose answers share images, and queries without one, where
+  // BuildSynopses skips image deduplication, with several answers.
   EXPECT_GT(nonempty, 240u);
   EXPECT_GT(shared_images, 10u);
+  EXPECT_GT(distinct_multi, 30u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -180,6 +181,46 @@ TEST(SynopsisDeathTest, OneBuilderNumbersBlocksOneWay) {
         b.AddBlock(Synopsis::Block{2, 0, 1});
       },
       "numbering blocks by AddGlobalImage");
+}
+
+// AddNewGlobalImage skips only the duplicate check: blocks, fact order
+// and offsets are those AddGlobalImage builds from the same new images.
+TEST(SynopsisTest, NewGlobalImagesEncodeAsDeduplicatedOnes) {
+  const std::vector<std::vector<GlobalFact>> images = {
+      {{1, 9, 0, 2}},
+      {{0, 4, 1, 3}, {1, 9, 1, 2}},
+      {{0, 7, 0, 1}, {1, 9, 0, 2}, {2, 3, 2, 4}}};
+  SynopsisBuilder checked, unchecked;
+  for (const std::vector<GlobalFact>& image : images) {
+    EXPECT_TRUE(checked.AddGlobalImage(image));
+    unchecked.AddNewGlobalImage(image);
+  }
+  const Synopsis a = checked.Finish(), b = unchecked.Finish();
+  EXPECT_EQ(a.DebugString(), b.DebugString());
+  ASSERT_EQ(a.NumBlocks(), b.NumBlocks());
+  for (size_t k = 0; k < a.NumBlocks(); ++k) {
+    EXPECT_EQ(a.blocks()[k].relation_id, b.blocks()[k].relation_id);
+    EXPECT_EQ(a.blocks()[k].block_id, b.blocks()[k].block_id);
+  }
+  ASSERT_EQ(b.NumImages(), images.size());
+  EXPECT_TRUE(std::ranges::equal(a.facts(), b.facts()));
+}
+
+TEST(SynopsisDeathTest, OneBuilderChecksImagesOneWay) {
+  EXPECT_DEATH(
+      {
+        SynopsisBuilder b;
+        b.AddGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
+        b.AddNewGlobalImage(std::vector<GlobalFact>{{0, 0, 1, 2}});
+      },
+      "builder that deduplicates images");
+  EXPECT_DEATH(
+      {
+        SynopsisBuilder b;
+        b.AddNewGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
+        b.AddGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
+      },
+      "given AddNewGlobalImage");
 }
 
 TEST(SynopsisTest, RandomSynopsesAreWellFormed) {
