@@ -37,7 +37,10 @@ struct CoverageResult {
 /// experiments single out. Each outer trial costs one
 /// SymbolicSpace::SampleElement; each inner step one uniform index j plus
 /// SymbolicSpace::ImageContainedIn, which reads only H_j's facts in
-/// blocks of size >= 2 from one flat array.
+/// blocks of size >= 2 from one flat array. A synopsis that
+/// ConflictWorldTable::Eligible accepts draws each trial's world through
+/// a table instead (the same engine words), and an inner step tests bit
+/// j of the world's mask.
 ///
 /// When `recorder` is non-null it receives, per completed trial, the
 /// witness-search cost normalized by |H| — the per-trial draw whose mean

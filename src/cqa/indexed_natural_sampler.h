@@ -3,6 +3,9 @@
 #ifndef CQABENCH_CQA_INDEXED_NATURAL_SAMPLER_H_
 #define CQABENCH_CQA_INDEXED_NATURAL_SAMPLER_H_
 
+#include <optional>
+
+#include "cqa/conflict_worlds.h"
 #include "cqa/image_index.h"
 #include "cqa/sampler.h"
 #include "cqa/synopsis.h"
@@ -26,6 +29,12 @@ namespace cqa {
 /// on the big, sparse H sets of the Boolean scenarios and on synopses
 /// whose blocks are mostly size 1.
 ///
+/// A synopsis that ConflictWorldTable::Eligible accepts takes the table
+/// instead, chosen once at construction: a draw turns the digit plan's
+/// one word into a world index and looks its outcome up, with the same
+/// words and values as the index path. It takes no word when a certain
+/// image ends before the first conflict block, as the stop rule does.
+///
 /// The naive scan survives as a test oracle (tests/natural_sampler.h);
 /// the test suite checks statistical agreement with it.
 class IndexedNaturalSampler : public Sampler {
@@ -41,9 +50,13 @@ class IndexedNaturalSampler : public Sampler {
  private:
   /// One draw without obs accounting (shared by Draw and DrawBatch).
   double DrawImpl(Rng& rng);
+  /// DrawImpl through the conflict-world table.
+  double TableDraw(Rng& rng);
 
   const Synopsis* synopsis_;
-  ImageIndex index_;
+  // Exactly one of the two paths is built.
+  std::optional<ConflictWorldTable> table_;
+  std::optional<ImageIndex> index_;
   TidDigitPlan digits_;
   Synopsis::Choice scratch_;
 };

@@ -3,6 +3,9 @@
 #ifndef CQABENCH_CQA_KL_SAMPLER_H_
 #define CQABENCH_CQA_KL_SAMPLER_H_
 
+#include <optional>
+
+#include "cqa/conflict_worlds.h"
 #include "cqa/image_index.h"
 #include "cqa/sampler.h"
 #include "cqa/symbolic_space.h"
@@ -22,6 +25,11 @@ namespace cqa {
 /// stopping at the first completed j < i. Per-draw cost is that of
 /// SymbolicSpace::SampleElement plus Θ(#conflict blocks +
 /// Σ_{drawn conflict facts} |images containing that fact|).
+///
+/// A synopsis that ConflictWorldTable::Eligible accepts takes the table
+/// instead, chosen once at construction: the alias word picks i, the next
+/// word and i's pinned tids give the world, and i is its first witness
+/// iff it is the lowest bit of the world's mask.
 class KlSampler : public Sampler {
  public:
   /// The space (and its synopsis) must outlive the sampler.
@@ -37,9 +45,13 @@ class KlSampler : public Sampler {
  private:
   /// One draw without obs accounting (shared by Draw and DrawBatch).
   double DrawImpl(Rng& rng);
+  /// DrawImpl through the conflict-world table.
+  double TableDraw(Rng& rng);
 
   const SymbolicSpace* space_;
-  ImageIndex index_;
+  // Exactly one of the two paths is built.
+  std::optional<ConflictWorldTable> table_;
+  std::optional<ImageIndex> index_;
   Synopsis::Choice scratch_;
 };
 

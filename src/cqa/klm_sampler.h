@@ -3,6 +3,9 @@
 #ifndef CQABENCH_CQA_KLM_SAMPLER_H_
 #define CQABENCH_CQA_KLM_SAMPLER_H_
 
+#include <optional>
+
+#include "cqa/conflict_worlds.h"
 #include "cqa/image_index.h"
 #include "cqa/sampler.h"
 #include "cqa/symbolic_space.h"
@@ -22,6 +25,10 @@ namespace cqa {
 /// re-testing containment of all of H against the drawn database. Per
 /// draw that is SymbolicSpace::SampleElement plus Θ(#conflict blocks +
 /// Σ_{drawn conflict facts} |images containing that fact|).
+///
+/// A synopsis that ConflictWorldTable::Eligible accepts takes the table
+/// instead, chosen once at construction: k is the popcount of the drawn
+/// world's mask, less its kFilled bit.
 class KlmSampler : public Sampler {
  public:
   /// The space (and its synopsis) must outlive the sampler.
@@ -37,9 +44,13 @@ class KlmSampler : public Sampler {
  private:
   /// One draw; adds this draw's witness count to *witnesses.
   double DrawImpl(Rng& rng, size_t* witnesses);
+  /// DrawImpl through the conflict-world table.
+  double TableDraw(Rng& rng, size_t* witnesses);
 
   const SymbolicSpace* space_;
-  ImageIndex index_;
+  // Exactly one of the two paths is built.
+  std::optional<ConflictWorldTable> table_;
+  std::optional<ImageIndex> index_;
   Synopsis::Choice scratch_;
 };
 

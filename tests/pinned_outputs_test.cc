@@ -6,6 +6,13 @@
 // that enumerate in greedy atom order; a change that alters any output
 // byte fails here. A change that reorders on purpose must regenerate the
 // table deliberately: each failure prints the values it found.
+//
+// The same TPC-H instance also pins what the four schemes compute on real
+// query shapes: per (query, scheme, threads) a digest of every answer's
+// estimate bits and the total, estimator and main sample counts of one
+// ApxCqaOnSynopses run at seed 1. The values were recorded from the
+// samplers that walk the ImageIndex on every synopsis; a sampler that
+// draws different words or turns them into different values fails here.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +22,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "cqa/apx_cqa.h"
 #include "cqa/preprocess.h"
 #include "gen/noise.h"
 #include "gen/tpcds.h"
@@ -147,15 +155,21 @@ const ConjunctiveQuery& Find(const std::vector<NamedQuery>& queries,
 // TPC-H at SF 0.002 with Q8_H-aware noise: Q8_H is the query whose
 // cheapest plan and greedy order differ, so its blocks are the ones
 // inflated.
-TEST(PinnedOutputsTest, TpchValidationQueries) {
+Dataset NoisyTpch(std::vector<NamedQuery>* queries) {
   TpchOptions options;
   options.scale_factor = 0.002;
   options.seed = 20210620;
   Dataset data = GenerateTpch(options);
-  const std::vector<NamedQuery> queries = TpchValidationQueries(*data.schema);
+  *queries = TpchValidationQueries(*data.schema);
   Rng rng(SplitMix64(options.seed));
-  AddQueryAwareNoise(data.db.get(), Find(queries, "Q8_H"), NoiseOptions(),
+  AddQueryAwareNoise(data.db.get(), Find(*queries, "Q8_H"), NoiseOptions(),
                      rng);
+  return data;
+}
+
+TEST(PinnedOutputsTest, TpchValidationQueries) {
+  std::vector<NamedQuery> queries;
+  const Dataset data = NoisyTpch(&queries);
   ExpectPinned(*data.db, queries,
                {
                    {"Q1_H", 7958377038073168317u, 16834993655632921907u,
@@ -177,6 +191,114 @@ TEST(PinnedOutputsTest, TpchValidationQueries) {
                    {"Q19_H", 15065414623170204216u, 3065423948702436450u,
                     5, 5, 5},
                });
+}
+
+/// The enumerator's spelling, for the values a failure prints.
+const char* Enumerator(SchemeKind kind) {
+  switch (kind) {
+    case SchemeKind::kNatural:
+      return "kNatural";
+    case SchemeKind::kKl:
+      return "kKl";
+    case SchemeKind::kKlm:
+      return "kKlm";
+    case SchemeKind::kCover:
+      return "kCover";
+  }
+  return "?";
+}
+
+struct PinnedRun {
+  const char* query;
+  SchemeKind scheme;
+  size_t threads;
+  uint64_t estimates_digest;
+  size_t total_samples;
+  size_t estimator_samples;
+  size_t main_samples;
+};
+
+// On this instance 61 of Q8_H's 71 synopses and all 532 of Q10_H's have
+// at most 63 images and at most 2^12 joint tid choices over their blocks
+// of size >= 2; one of Q5_H's 8 does. At threads = 2 the answers spread
+// over two workers on forked streams (Cover included), so a row differs
+// from its threads = 1 twin unless its estimates come out exact, as
+// Q8_H's KL and KLM ones do here (every draw accepts). ε = 0.5 keeps the
+// test short: the ten large Q8_H synopses still take ~40 M Natural draws.
+TEST(PinnedOutputsTest, TpchSchemeOutputs) {
+  std::vector<NamedQuery> queries;
+  const Dataset data = NoisyTpch(&queries);
+  const std::vector<PinnedRun> pinned = {
+      {"Q5_H", SchemeKind::kNatural, 1, 14800715161097912164u,
+       24435, 14587, 9848},
+      {"Q5_H", SchemeKind::kNatural, 2, 14884641654127375539u,
+       27462, 15933, 11529},
+      {"Q5_H", SchemeKind::kKl, 1, 1162445412407520673u, 177227, 99420, 77807},
+      {"Q5_H", SchemeKind::kKl, 2, 10849586740591969677u, 173863, 96335, 77528},
+      {"Q5_H", SchemeKind::kKlm, 1, 3424621137535124703u,
+       142821, 101709, 41112},
+      {"Q5_H", SchemeKind::kKlm, 2, 13139057138957317031u,
+       143091, 101901, 41190},
+      {"Q5_H", SchemeKind::kCover, 1, 3976802193183317512u, 85945, 0, 85945},
+      {"Q5_H", SchemeKind::kCover, 2, 8253111812234627565u, 85945, 0, 85945},
+      {"Q8_H", SchemeKind::kNatural, 1, 3097505709809815834u,
+       41923109, 23048785, 18874324},
+      {"Q8_H", SchemeKind::kNatural, 2, 1618741237332449524u,
+       43132210, 23580583, 19551627},
+      {"Q8_H", SchemeKind::kKl, 1, 1495613924886504188u, 29323, 20874, 8449},
+      {"Q8_H", SchemeKind::kKl, 2, 1495613924886504188u, 29323, 20874, 8449},
+      {"Q8_H", SchemeKind::kKlm, 1, 1495613924886504188u, 29323, 20874, 8449},
+      {"Q8_H", SchemeKind::kKlm, 2, 1495613924886504188u, 29323, 20874, 8449},
+      {"Q8_H", SchemeKind::kCover, 1, 15015047841469333226u, 10157, 0, 10157},
+      {"Q8_H", SchemeKind::kCover, 2, 7691378510790360223u, 10157, 0, 10157},
+      {"Q10_H", SchemeKind::kNatural, 1, 2319250684988053063u,
+       730771, 457874, 272897},
+      {"Q10_H", SchemeKind::kNatural, 2, 2981518398133814681u,
+       728452, 457535, 270917},
+      {"Q10_H", SchemeKind::kKl, 1, 11961851171438497718u,
+       3677404, 2085924, 1591480},
+      {"Q10_H", SchemeKind::kKl, 2, 12481367051953704588u,
+       3691111, 2094395, 1596716},
+      {"Q10_H", SchemeKind::kKlm, 1, 7328714350027640089u,
+       2930496, 2086905, 843591},
+      {"Q10_H", SchemeKind::kKlm, 2, 15883281166932466830u,
+       2930472, 2086888, 843584},
+      {"Q10_H", SchemeKind::kCover, 1, 12741249276347618135u,
+       889074, 0, 889074},
+      {"Q10_H", SchemeKind::kCover, 2, 11079303380606709495u,
+       889074, 0, 889074},
+  };
+  for (const std::string name : {"Q5_H", "Q8_H", "Q10_H"}) {
+    const PreprocessResult pre = BuildSynopses(*data.db, Find(queries, name));
+    for (const PinnedRun& want : pinned) {
+      if (name != want.query) continue;
+      ApxParams params;
+      params.epsilon = 0.5;
+      params.num_threads = want.threads;
+      Rng rng(1);
+      const CqaRunResult run =
+          ApxCqaOnSynopses(pre, want.scheme, params, rng);
+      Digest estimates;
+      estimates.Add(run.answers.size());
+      for (const CqaAnswer& answer : run.answers) {
+        uint64_t bits = 0;
+        std::memcpy(&bits, &answer.frequency, sizeof(bits));
+        estimates.Add(bits);
+      }
+      SCOPED_TRACE("found {\"" + name + "\", SchemeKind::" +
+                   Enumerator(want.scheme) + ", " +
+                   std::to_string(want.threads) + ", " +
+                   std::to_string(estimates.value()) + "u, " +
+                   std::to_string(run.total_samples) + ", " +
+                   std::to_string(run.estimator_samples) + ", " +
+                   std::to_string(run.main_samples) + "}");
+      EXPECT_FALSE(run.timed_out);
+      EXPECT_EQ(estimates.value(), want.estimates_digest);
+      EXPECT_EQ(run.total_samples, want.total_samples);
+      EXPECT_EQ(run.estimator_samples, want.estimator_samples);
+      EXPECT_EQ(run.main_samples, want.main_samples);
+    }
+  }
 }
 
 // TPC-DS at SF 0.002 with Q60_DS-aware noise; Q1_DS, Q33_DS and Q60_DS
