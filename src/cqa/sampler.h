@@ -42,6 +42,14 @@ class Sampler {
   virtual const char* name() const = 0;
 };
 
+/// The loop of a DrawBatch override: out[k] = draw() for k in [0, n). A
+/// sampler that picks its draw path at construction calls it once per
+/// batch with that path's draw.
+template <typename DrawFn>
+void FillBatch(size_t n, double* out, DrawFn&& draw) {
+  for (size_t k = 0; k < n; ++k) out[k] = draw();
+}
+
 }  // namespace cqa
 
 #endif  // CQABENCH_CQA_SAMPLER_H_
