@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <string>
 #include <unordered_set>
 
@@ -21,29 +22,77 @@ namespace {
 constexpr uint32_t kNoId = UINT32_MAX;
 
 /// Groups homomorphisms by answer h(x̄) without building a Tuple for
-/// each: dense answer ids in order of first appearance, deduplicated by a
-/// hash of the answer variables' slots. Each answer keeps its slots
-/// (strings point into the database) for the comparisons; a Tuple is
-/// built only for a new answer.
+/// each: dense answer ids in order of first appearance, deduplicated by
+/// value through a hash of the answer variables' slots. Each answer keeps
+/// its slots (strings point into the database) for the comparisons; a
+/// Tuple is built only for a new answer.
+///
+/// Hashing a string slot reads the string's bytes. So when an answer
+/// variable is a string, a memo first looks the answer up by the slots'
+/// raw bits: the address of one stored string (a dictionary entry or a
+/// plain row's value), or an int itself. Equal bits are an equal answer;
+/// a miss falls back to the value table and records the bits. A double
+/// answer variable bypasses the memo, because bits group doubles unlike
+/// values: ±0.0 are one value, and a NaN equals nothing, not even itself.
 class AnswerTable {
  public:
-  explicit AnswerTable(const ConjunctiveQuery& q) : q_(q) {}
+  explicit AnswerTable(const ConjunctiveQuery& q)
+      : q_(q), vars_(q.answer_vars()), key_(vars_.size()) {}
 
   /// The id of h's answer; `*added` is set when h introduced it.
   uint32_t FindOrAdd(const Homomorphism& h, bool* added) {
-    const std::vector<size_t>& vars = q_.answer_vars();
-    const size_t width = vars.size();
-    const size_t at = answer_slots_.size();
+    const size_t width = vars_.size();
+    if (types_.size() != width) Classify(h);
+    for (size_t k = 0; k < width; ++k) key_[k] = h.slot(vars_[k]);
+    if (!memo_on_) return FindByValue(h, added);
     uint64_t hash = width;
-    for (size_t v : vars) {
-      answer_slots_.push_back(h.slot(v));
-      hash = SplitMix64(hash ^ SlotHash(h.type(v), answer_slots_.back()));
+    for (const ValueSlot slot : key_) hash = SplitMix64(hash ^ Bits(slot));
+    const auto next = static_cast<uint32_t>(memo_answers_.size());
+    const uint32_t entry = memo_.FindOrAdd(next, hash, [&](uint32_t other) {
+      for (size_t k = 0; k < width; ++k) {
+        if (memo_bits_[other * width + k] != Bits(key_[k])) return false;
+      }
+      return true;
+    });
+    if (entry != next) {
+      *added = false;
+      return memo_answers_[entry];
+    }
+    for (const ValueSlot slot : key_) memo_bits_.push_back(Bits(slot));
+    memo_answers_.push_back(FindByValue(h, added));
+    return memo_answers_.back();
+  }
+
+  std::vector<Tuple>& tuples() { return tuples_; }
+
+ private:
+  static uint64_t Bits(ValueSlot slot) {
+    return std::bit_cast<uint64_t>(slot);
+  }
+
+  // Types are fixed for one evaluation: read them from its first answer.
+  void Classify(const Homomorphism& h) {
+    bool strings = false, doubles = false;
+    for (size_t v : vars_) {
+      types_.push_back(h.type(v));
+      strings |= types_.back() == ValueType::kString;
+      doubles |= types_.back() == ValueType::kDouble;
+    }
+    memo_on_ = strings && !doubles;
+  }
+
+  // The answer of the slots in key_, by value.
+  uint32_t FindByValue(const Homomorphism& h, bool* added) {
+    const size_t width = vars_.size();
+    uint64_t hash = width;
+    for (size_t k = 0; k < width; ++k) {
+      hash = SplitMix64(hash ^ SlotHash(types_[k], key_[k]));
     }
     const auto next = static_cast<uint32_t>(tuples_.size());
     const uint32_t id = ids_.FindOrAdd(next, hash, [&](uint32_t other) {
       for (size_t k = 0; k < width; ++k) {
-        if (!SlotEquals(h.type(vars[k]), answer_slots_[other * width + k],
-                        answer_slots_[at + k])) {
+        if (!SlotEquals(types_[k], answer_slots_[other * width + k],
+                        key_[k])) {
           return false;
         }
       }
@@ -51,20 +100,23 @@ class AnswerTable {
     });
     *added = id == next;
     if (*added) {
+      answer_slots_.insert(answer_slots_.end(), key_.begin(), key_.end());
       tuples_.push_back(h.AnswerTuple(q_));
-    } else {
-      answer_slots_.resize(at);
     }
     return id;
   }
 
-  std::vector<Tuple>& tuples() { return tuples_; }
-
- private:
   const ConjunctiveQuery& q_;
+  const std::vector<size_t>& vars_;
+  std::vector<ValueType> types_;
+  std::vector<ValueSlot> key_;  // The current homomorphism's answer slots.
   std::vector<Tuple> tuples_;
   std::vector<ValueSlot> answer_slots_;  // Answer id × answer variable.
   IdTable ids_;
+  bool memo_on_ = false;
+  std::vector<uint64_t> memo_bits_;      // Memo entry × answer variable.
+  std::vector<uint32_t> memo_answers_;   // Answer id per memo entry.
+  IdTable memo_;
 };
 
 /// True when no relation occurs in two atoms of `q`. Then no two facts of
@@ -80,18 +132,42 @@ bool ImagesAreDistinct(const ConjunctiveQuery& q) {
          relations.end();
 }
 
-/// Audits ImagesAreDistinct's premise on a finished result: no synopsis
-/// repeats an image and no two answers share one.
-bool CheckImagesDistinct(std::span<const AnswerSynopsis> answers,
-                         size_t num_images, std::string* why) {
-  for (const AnswerSynopsis& as : answers) {
-    if (!audit::CheckSynopsis(as.synopsis, why)) return false;
-  }
-  if (CountDistinctImages(answers) != num_images) {
-    if (why != nullptr) *why = "two answers share an image";
+/// Audits the numbering of one BuildSynopses synopsis: blocks are
+/// numbered in order of first appearance, so the blocks the images have
+/// touched so far are always a prefix, and each database block has one
+/// number.
+bool CheckFirstAppearance(const Synopsis& synopsis, std::string* why) {
+  auto fail = [&](const char* what) {
+    if (why != nullptr) *why = what;
     return false;
+  };
+  uint32_t seen = 0;
+  for (size_t i = 0; i < synopsis.NumImages(); ++i) {
+    for (const Synopsis::ImageFact& f : synopsis.image(i)) {
+      if (f.block > seen) return fail("block numbered out of first appearance");
+      seen += f.block == seen;
+    }
+  }
+  if (seen != synopsis.NumBlocks()) return fail("block in no image");
+  std::vector<std::pair<uint32_t, uint32_t>> origins;
+  for (const Synopsis::Block& b : synopsis.blocks()) {
+    origins.emplace_back(b.relation_id, b.block_id);
+  }
+  std::sort(origins.begin(), origins.end());
+  if (std::adjacent_find(origins.begin(), origins.end()) != origins.end()) {
+    return fail("database block numbered twice");
   }
   return true;
+}
+
+/// Audits ImagesAreDistinct's premise on a finished result: no two
+/// answers share an image. (CheckSynopsis, run on every synopsis, rules
+/// out a repeat under one answer.)
+bool CheckImagesDistinct(std::span<const AnswerSynopsis> answers,
+                         size_t num_images, std::string* why) {
+  if (CountDistinctImages(answers) == num_images) return true;
+  if (why != nullptr) *why = "two answers share an image";
+  return false;
 }
 
 }  // namespace
@@ -118,6 +194,70 @@ std::vector<FactRef> PreprocessResult::ImageFactRefs() const {
   std::vector<FactRef> sorted(facts.begin(), facts.end());
   std::sort(sorted.begin(), sorted.end());
   return sorted;
+}
+
+bool CanonicalizeImage(std::vector<GlobalFact>* image) {
+  std::sort(image->begin(), image->end());
+  image->erase(std::unique(image->begin(), image->end()), image->end());
+  for (size_t i = 1; i < image->size(); ++i) {
+    if ((*image)[i].relation_id == (*image)[i - 1].relation_id &&
+        (*image)[i].block_id == (*image)[i - 1].block_id) {
+      return false;
+    }
+  }
+  return true;
+}
+
+SynopsisEncoder::SynopsisEncoder(const BlockIndex& index)
+    : index_(index), stamps_(index.NumRelations()) {}
+
+SynopsisBuilder SynopsisEncoder::Number(std::span<const GlobalFact> facts,
+                                        size_t images) {
+  CQA_CHECK(encodes_ < UINT32_MAX);
+  const uint32_t synopsis = ++encodes_;
+  blocks_.clear();
+  local_.resize(facts.size());
+  for (size_t k = 0; k < facts.size(); ++k) {
+    const GlobalFact& g = facts[k];
+    CQA_CHECK(g.relation_id < stamps_.size());
+    const RelationBlockIndex& relation = index_.relation(g.relation_id);
+    std::vector<Stamp>& stamps = stamps_[g.relation_id];
+    if (stamps.empty()) stamps.resize(relation.NumBlocks());
+    CQA_CHECK(g.block_id < stamps.size());
+    Stamp& stamp = stamps[g.block_id];
+    if (stamp.synopsis != synopsis) {
+      stamp = Stamp{synopsis, static_cast<uint32_t>(blocks_.size())};
+      blocks_.push_back(Synopsis::Block{
+          static_cast<uint32_t>(relation.block(g.block_id).size()),
+          g.relation_id, g.block_id});
+    }
+    local_[k] = Synopsis::ImageFact{stamp.local, g.tid};
+  }
+  SynopsisBuilder builder;
+  builder.Reserve(blocks_.size(), images, facts.size());
+  for (const Synopsis::Block& block : blocks_) builder.AddBlock(block);
+  return builder;
+}
+
+Synopsis SynopsisEncoder::Encode(std::span<const GlobalFact> facts,
+                                 std::span<const uint32_t> ends) {
+  SynopsisBuilder builder = Number(facts, ends.size());
+  size_t begin = 0;
+  for (const uint32_t end : ends) {
+    CQA_CHECK(begin <= end && end <= local_.size());
+    builder.AddImage(std::span(local_).subspan(begin, end - begin));
+    begin = end;
+  }
+  CQA_CHECK(begin == local_.size());
+  return builder.Finish();
+}
+
+Synopsis SynopsisEncoder::EncodeDistinct(std::span<const GlobalFact> facts,
+                                         size_t width) {
+  CQA_CHECK(width >= 1);
+  SynopsisBuilder builder = Number(facts, facts.size() / width);
+  builder.AddNewImages(local_, width);
+  return builder.Finish();
 }
 
 size_t CountDistinctImages(std::span<const AnswerSynopsis> answers) {
@@ -195,48 +335,69 @@ PreprocessResult BuildSynopses(const Database& db, const ConjunctiveQuery& q,
   CQA_AUDIT(audit::CheckBlockPartition, db, block_index);
   PreprocessStats stats;
 
-  // No image table and no distinct-image count where the query proves
-  // every image new.
+  // Each answer's consistent images, canonical and back to back. Where
+  // no relation repeats, an image is one fact per atom in relation order,
+  // consistent and new (ImagesAreDistinct): it needs no sort, no end
+  // marker and no image table, and the images need no distinct count.
   const bool distinct = ImagesAreDistinct(q);
-  AnswerTable answer_table(q);
-  std::vector<SynopsisBuilder> builders;
-  CqEvaluator evaluator(&db, cache);
-  std::vector<GlobalFact> image;
-  evaluator.ForEachHomomorphism(q, [&](const Homomorphism& h) {
-    ++stats.num_homomorphisms;
-    // Translate the image to (rid, bid, tid) coordinates and keep it only
-    // if consistent.
-    image.clear();
-    for (const FactRef& f : h.image) {
-      const BlockAnnotation ann =
-          block_index.relation(f.relation_id).annotation(f.row);
-      image.push_back(GlobalFact{static_cast<uint32_t>(f.relation_id),
-                                 static_cast<uint32_t>(ann.block_id),
-                                 static_cast<uint32_t>(ann.tuple_id),
-                                 static_cast<uint32_t>(ann.block_size)});
-    }
-    if (!CanonicalizeImage(&image)) return true;  // Inconsistent; skip.
-    bool added = false;
-    const uint32_t answer = answer_table.FindOrAdd(h, &added);
-    if (added) builders.emplace_back();
-    if (distinct) {
-      builders[answer].AddNewGlobalImage(image);
-      ++stats.num_images;
-    } else if (builders[answer].AddGlobalImage(image)) {
-      ++stats.num_images;
-    }
-    return true;
+  std::vector<size_t> atoms(q.NumAtoms());
+  for (size_t a = 0; a < atoms.size(); ++a) atoms[a] = a;
+  std::stable_sort(atoms.begin(), atoms.end(), [&](size_t a, size_t b) {
+    return q.atom(a).relation_id < q.atom(b).relation_id;
   });
+  struct AnswerImages {
+    std::vector<GlobalFact> facts;
+    std::vector<uint32_t> ends;  // Where each image ends; self-joins only.
+  };
+  AnswerTable answer_table(q);
+  std::vector<AnswerImages> raw;
+  {
+    obs::TraceSpan enumerate("preprocess.enumerate", span.id());
+    CqEvaluator evaluator(&db, cache);
+    std::vector<GlobalFact> image;
+    evaluator.ForEachHomomorphism(q, [&](const Homomorphism& h) {
+      ++stats.num_homomorphisms;
+      image.clear();
+      for (size_t a : atoms) {
+        const FactRef& f = h.image[a];
+        const BlockAnnotation ann =
+            block_index.relation(f.relation_id).annotation(f.row);
+        image.push_back(GlobalFact{static_cast<uint32_t>(f.relation_id),
+                                   static_cast<uint32_t>(ann.block_id),
+                                   static_cast<uint32_t>(ann.tuple_id)});
+      }
+      if (!distinct && !CanonicalizeImage(&image)) return true;
+      bool added = false;
+      const uint32_t answer = answer_table.FindOrAdd(h, &added);
+      if (added) raw.emplace_back();
+      AnswerImages& images = raw[answer];
+      images.facts.insert(images.facts.end(), image.begin(), image.end());
+      if (!distinct) {
+        CQA_CHECK(images.facts.size() <= UINT32_MAX);
+        images.ends.push_back(static_cast<uint32_t>(images.facts.size()));
+      }
+      return true;
+    });
+  }
 
   std::vector<AnswerSynopsis> answers;
-  answers.reserve(builders.size());
-  for (size_t i = 0; i < builders.size(); ++i) {
-    answers.push_back(AnswerSynopsis{std::move(answer_table.tuples()[i]),
-                                     builders[i].Finish()});
-    CQA_OBS_OBSERVE("preprocess.synopsis_images",
-                    answers[i].synopsis.NumImages());
-    CQA_OBS_OBSERVE("preprocess.synopsis_blocks",
-                    answers[i].synopsis.NumBlocks());
+  answers.reserve(raw.size());
+  {
+    obs::TraceSpan number("preprocess.number", span.id());
+    SynopsisEncoder encoder(block_index);
+    for (size_t a = 0; a < raw.size(); ++a) {
+      Synopsis synopsis =
+          distinct ? encoder.EncodeDistinct(raw[a].facts, atoms.size())
+                   : encoder.Encode(raw[a].facts, raw[a].ends);
+      raw[a] = AnswerImages();  // Numbered: free its facts now.
+      CQA_AUDIT(audit::CheckSynopsis, synopsis);
+      CQA_AUDIT(CheckFirstAppearance, synopsis);
+      CQA_OBS_OBSERVE("preprocess.synopsis_images", synopsis.NumImages());
+      CQA_OBS_OBSERVE("preprocess.synopsis_blocks", synopsis.NumBlocks());
+      stats.num_images += synopsis.NumImages();
+      answers.push_back(AnswerSynopsis{std::move(answer_table.tuples()[a]),
+                                       std::move(synopsis)});
+    }
   }
   if (distinct) {
     CQA_AUDIT(CheckImagesDistinct, answers, stats.num_images);

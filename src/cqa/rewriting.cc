@@ -48,24 +48,32 @@ std::string SqlLiteral(const Value& v) {
 /// bid) implies equal tid. Calls `emit(answer, synopsis)` once per answer
 /// in row order, skipping answers whose every homomorphism was
 /// inconsistent (Lemma 4.1(4) excludes them from syn); stops as soon as
-/// `emit` returns false. One answer's synopsis is in memory at a time.
+/// `emit` returns false. One answer's images are in memory at a time;
+/// blocks take their kcnt from `index`, the index the rows came from.
 template <typename Emit>
-void EncodeRows(const std::vector<QrewRow>& rows, Emit&& emit) {
-  SynopsisBuilder builder;
-  std::vector<GlobalFact> image;
+void EncodeRows(const std::vector<QrewRow>& rows, const BlockIndex& index,
+                Emit&& emit) {
+  SynopsisEncoder encoder(index);
+  std::vector<GlobalFact> image, facts;
+  std::vector<uint32_t> ends;
   for (size_t i = 0; i < rows.size(); ++i) {
     const QrewRow& row = rows[i];
     image.clear();
     for (const QrewRow::AtomAnnotation& a : row.atoms) {
       image.push_back(GlobalFact{static_cast<uint32_t>(a.rid),
                                  static_cast<uint32_t>(a.bid),
-                                 static_cast<uint32_t>(a.tid),
-                                 static_cast<uint32_t>(a.kcnt)});
+                                 static_cast<uint32_t>(a.tid)});
     }
-    if (CanonicalizeImage(&image)) builder.AddGlobalImage(image);
+    if (CanonicalizeImage(&image)) {
+      facts.insert(facts.end(), image.begin(), image.end());
+      ends.push_back(static_cast<uint32_t>(facts.size()));
+    }
     if (i + 1 < rows.size() && rows[i + 1].answer == row.answer) continue;
-    Synopsis synopsis = builder.Finish();
-    if (!synopsis.Empty() && !emit(row.answer, std::move(synopsis))) return;
+    if (ends.empty()) continue;
+    Synopsis synopsis = encoder.Encode(facts, ends);
+    facts.clear();
+    ends.clear();
+    if (!emit(row.answer, std::move(synopsis))) return;
   }
 }
 
@@ -215,7 +223,7 @@ PreprocessResult BuildSynopsesViaRewriting(const Database& db,
   PreprocessStats stats;
   stats.num_homomorphisms = rows.size();
   std::vector<AnswerSynopsis> answers;
-  EncodeRows(rows, [&](const Tuple& answer, Synopsis synopsis) {
+  EncodeRows(rows, *index, [&](const Tuple& answer, Synopsis synopsis) {
     stats.num_images += synopsis.NumImages();
     answers.push_back(AnswerSynopsis{answer, std::move(synopsis)});
     return true;
@@ -227,7 +235,8 @@ PreprocessResult BuildSynopsesViaRewriting(const Database& db,
 
 void ForEachSynopsis(const Database& db, const ConjunctiveQuery& q,
                      const SynopsisCallback& fn) {
-  EncodeRows(ExecuteRewriting(db, q, *db.block_index()),
+  const std::shared_ptr<const BlockIndex> index = db.block_index();
+  EncodeRows(ExecuteRewriting(db, q, *index), *index,
              [&](const Tuple& answer, Synopsis synopsis) {
                return fn(answer, synopsis);
              });

@@ -24,11 +24,6 @@ uint32_t HashImage(std::span<const Synopsis::ImageFact> facts) {
   return static_cast<uint32_t>(h ^ (h >> 32));
 }
 
-uint32_t HashBlock(uint32_t relation_id, uint32_t block_id) {
-  return static_cast<uint32_t>(
-      SplitMix64((uint64_t{relation_id} << 32) | block_id));
-}
-
 }  // namespace
 
 double Synopsis::LogDbSize() const {
@@ -95,56 +90,60 @@ std::string Synopsis::DebugString() const {
   return os.str();
 }
 
-bool CanonicalizeImage(std::vector<GlobalFact>* image) {
-  std::sort(image->begin(), image->end());
-  image->erase(std::unique(image->begin(), image->end()), image->end());
-  for (size_t i = 1; i < image->size(); ++i) {
-    if ((*image)[i].relation_id == (*image)[i - 1].relation_id &&
-        (*image)[i].block_id == (*image)[i - 1].block_id) {
-      return false;
-    }
-  }
-  return true;
+void SynopsisBuilder::Reserve(size_t blocks, size_t images, size_t facts) {
+  synopsis_.blocks_.reserve(blocks);
+  if (images > 0) synopsis_.image_offsets_.reserve(images + 1);
+  synopsis_.facts_.reserve(facts);
 }
 
 uint32_t SynopsisBuilder::AddBlock(Synopsis::Block block) {
   CQA_CHECK(block.size >= 1);
-  CQA_CHECK_MSG(block_slots_.empty(),
-                "AddBlock on a builder numbering blocks by AddGlobalImage");
   CQA_CHECK(synopsis_.blocks_.size() < kNoId);
   synopsis_.blocks_.push_back(block);
   return static_cast<uint32_t>(synopsis_.blocks_.size() - 1);
 }
 
 bool SynopsisBuilder::AddImage(std::span<const Synopsis::ImageFact> facts) {
+  const size_t begin = AppendFacts(facts);
+  const std::span<const Synopsis::ImageFact> image = SortImage(begin);
+  CQA_CHECK_MSG(!image_slots_.empty() || NumImages() == 0,
+                "a deduplicating add on a builder given AddNewImages");
+  if ((NumImages() + 1) * 2 > image_slots_.size()) GrowImageSlots();
+  const uint32_t hash = HashImage(image);
+  const size_t mask = image_slots_.size() - 1;
+  size_t s = hash & mask;
+  for (; image_slots_[s].id != kNoId; s = (s + 1) & mask) {
+    if (image_slots_[s].hash == hash &&
+        std::ranges::equal(synopsis_.image(image_slots_[s].id), image)) {
+      synopsis_.facts_.resize(begin);  // H is a set: drop the repeat.
+      return false;
+    }
+  }
+  EndImage();
+  image_slots_[s] = ImageSlot{static_cast<uint32_t>(NumImages() - 1), hash};
+  return true;
+}
+
+void SynopsisBuilder::AddNewImages(std::span<const Synopsis::ImageFact> facts,
+                                   size_t width) {
+  CQA_CHECK_MSG(image_slots_.empty(),
+                "AddNewImages on a builder that deduplicates images");
+  CQA_CHECK(width >= 1 && facts.size() % width == 0);
+  for (size_t at = 0; at < facts.size(); at += width) {
+    SortImage(AppendFacts(facts.subspan(at, width)));
+    EndImage();
+  }
+}
+
+size_t SynopsisBuilder::AppendFacts(
+    std::span<const Synopsis::ImageFact> facts) {
   const size_t begin = synopsis_.facts_.size();
   synopsis_.facts_.insert(synopsis_.facts_.end(), facts.begin(), facts.end());
-  return CommitImage(begin);
-}
-
-bool SynopsisBuilder::AddGlobalImage(std::span<const GlobalFact> image) {
-  return CommitImage(AppendGlobalFacts(image));
-}
-
-void SynopsisBuilder::AddNewGlobalImage(std::span<const GlobalFact> image) {
-  CQA_CHECK_MSG(image_slots_.empty(),
-                "AddNewGlobalImage on a builder that deduplicates images");
-  SortImage(AppendGlobalFacts(image));
-  EndImage();
-}
-
-size_t SynopsisBuilder::AppendGlobalFacts(std::span<const GlobalFact> image) {
-  const size_t begin = synopsis_.facts_.size();
-  for (const GlobalFact& g : image) {
-    const uint32_t block = LocalBlock(g.relation_id, g.block_id, g.block_size);
-    synopsis_.facts_.push_back(Synopsis::ImageFact{block, g.tid});
-  }
   return begin;
 }
 
 Synopsis SynopsisBuilder::Finish() {
   image_slots_ = std::vector<ImageSlot>();
-  block_slots_ = std::vector<uint32_t>();
   synopsis_.blocks_.shrink_to_fit();
   synopsis_.image_offsets_.shrink_to_fit();
   synopsis_.facts_.shrink_to_fit();
@@ -153,39 +152,16 @@ Synopsis SynopsisBuilder::Finish() {
   return done;
 }
 
-uint32_t SynopsisBuilder::LocalBlock(uint32_t relation_id, uint32_t block_id,
-                                     uint32_t size) {
-  std::vector<Synopsis::Block>& blocks = synopsis_.blocks_;
-  if (block_slots_.empty()) {
-    CQA_CHECK_MSG(blocks.empty(),
-                  "AddGlobalImage on a builder given blocks by AddBlock");
-  }
-  if ((blocks.size() + 1) * 2 > block_slots_.size()) GrowBlockSlots();
-  const size_t mask = block_slots_.size() - 1;
-  for (size_t s = HashBlock(relation_id, block_id) & mask;;
-       s = (s + 1) & mask) {
-    const uint32_t id = block_slots_[s];
-    if (id == kNoId) {
-      CQA_CHECK(size >= 1);
-      blocks.push_back(Synopsis::Block{size, relation_id, block_id});
-      block_slots_[s] = static_cast<uint32_t>(blocks.size() - 1);
-      return block_slots_[s];
-    }
-    if (blocks[id].relation_id == relation_id &&
-        blocks[id].block_id == block_id) {
-      return id;
-    }
-  }
-}
-
 std::span<const Synopsis::ImageFact> SynopsisBuilder::SortImage(
     size_t begin) {
   std::vector<Synopsis::ImageFact>& facts = synopsis_.facts_;
   const auto first = facts.begin() + static_cast<ptrdiff_t>(begin);
   CQA_CHECK_MSG(first != facts.end(),
                 "an image must contain at least one fact");
-  std::sort(first, facts.end());
-  facts.erase(std::unique(first, facts.end()), facts.end());
+  if (facts.end() - first > 1) {
+    std::sort(first, facts.end());
+    facts.erase(std::unique(first, facts.end()), facts.end());
+  }
   const std::span<const Synopsis::ImageFact> image(facts.data() + begin,
                                                    facts.size() - begin);
   const std::vector<Synopsis::Block>& blocks = synopsis_.blocks_;
@@ -208,26 +184,6 @@ void SynopsisBuilder::EndImage() {
   offsets.push_back(static_cast<uint32_t>(facts.size()));
 }
 
-bool SynopsisBuilder::CommitImage(size_t begin) {
-  const std::span<const Synopsis::ImageFact> image = SortImage(begin);
-  CQA_CHECK_MSG(!image_slots_.empty() || NumImages() == 0,
-                "a deduplicating add on a builder given AddNewGlobalImage");
-  if ((NumImages() + 1) * 2 > image_slots_.size()) GrowImageSlots();
-  const uint32_t hash = HashImage(image);
-  const size_t mask = image_slots_.size() - 1;
-  size_t s = hash & mask;
-  for (; image_slots_[s].id != kNoId; s = (s + 1) & mask) {
-    if (image_slots_[s].hash == hash &&
-        std::ranges::equal(synopsis_.image(image_slots_[s].id), image)) {
-      synopsis_.facts_.resize(begin);  // H is a set: drop the repeat.
-      return false;
-    }
-  }
-  EndImage();
-  image_slots_[s] = ImageSlot{static_cast<uint32_t>(NumImages() - 1), hash};
-  return true;
-}
-
 void SynopsisBuilder::GrowImageSlots() {
   std::vector<ImageSlot> old = std::move(image_slots_);
   image_slots_.assign(std::max(kFirstSlots, old.size() * 2),
@@ -238,17 +194,6 @@ void SynopsisBuilder::GrowImageSlots() {
     size_t s = slot.hash & mask;
     while (image_slots_[s].id != kNoId) s = (s + 1) & mask;
     image_slots_[s] = slot;
-  }
-}
-
-void SynopsisBuilder::GrowBlockSlots() {
-  const std::vector<Synopsis::Block>& blocks = synopsis_.blocks_;
-  block_slots_.assign(std::max(kFirstSlots, block_slots_.size() * 2), kNoId);
-  const size_t mask = block_slots_.size() - 1;
-  for (uint32_t id = 0; id < blocks.size(); ++id) {
-    size_t s = HashBlock(blocks[id].relation_id, blocks[id].block_id) & mask;
-    while (block_slots_[s] != kNoId) s = (s + 1) & mask;
-    block_slots_[s] = id;
   }
 }
 

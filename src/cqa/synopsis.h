@@ -36,9 +36,9 @@ namespace cqa {
 /// i is facts_[image_offsets_[i], image_offsets_[i + 1]), so NumImages()
 /// + 1 entries, or none when there is no image). An image therefore costs
 /// 4 bytes plus 8 per fact, and image(i) is a span into `facts_`. The
-/// hash tables that deduplicate images and map database blocks to local
-/// ones while building live in SynopsisBuilder, which frees them in
-/// Finish(); a Synopsis never holds one.
+/// hash table that deduplicates images while building lives in
+/// SynopsisBuilder, which frees it in Finish(); a Synopsis never holds
+/// one.
 class Synopsis {
  public:
   /// A block of B. `size` >= 1; tuple ids within the block are
@@ -111,45 +111,16 @@ class Synopsis {
   std::vector<ImageFact> facts_;
 };
 
-/// A homomorphic image's fact in database coordinates: tuple `tid` of
-/// block `block_id` of relation `relation_id`, plus that block's size.
-struct GlobalFact {
-  uint32_t relation_id = 0;
-  uint32_t block_id = 0;
-  uint32_t tid = 0;
-  uint32_t block_size = 0;
-
-  friend bool operator<(const GlobalFact& a, const GlobalFact& b) {
-    if (a.relation_id != b.relation_id) return a.relation_id < b.relation_id;
-    if (a.block_id != b.block_id) return a.block_id < b.block_id;
-    return a.tid < b.tid;
-  }
-  friend bool operator==(const GlobalFact& a, const GlobalFact& b) {
-    return a.relation_id == b.relation_id && a.block_id == b.block_id &&
-           a.tid == b.tid;
-  }
-};
-
-/// Sorts a homomorphic image by (relation, block, tid) and drops repeated
-/// facts (atoms mapped onto one fact). Returns false when the image is
-/// inconsistent: h(Q) |= Σ iff no block receives two distinct tuples.
-bool CanonicalizeImage(std::vector<GlobalFact>* image);
-
-/// Builds one Synopsis, the only way to make one. Blocks come either as
-/// an explicit list (AddBlock: files, hand-built synopses) or from images
-/// in database coordinates (AddGlobalImage, AddNewGlobalImage: the
-/// preprocessing paths, which number local blocks in order of first
-/// appearance); one builder uses one of the two.
+/// Builds one Synopsis, the only way to make one: blocks first (AddBlock),
+/// then images over them. Preprocessing numbers database blocks itself
+/// (SynopsisEncoder in preprocess.h) and hands the builder local ones.
 ///
-/// Homomorphisms cost no heap allocation beyond amortized array growth:
-/// each image's facts are written straight to the tail of the packed
-/// fact array, sorted there and deduplicated through an open-addressing
-/// table of image ids (H is a set), and database blocks map to local ones
-/// through a second open-addressing table of block ids. A caller that
-/// knows every image is new (BuildSynopses on a query in which no relation
-/// occurs twice) adds them with AddNewGlobalImage, and the builder keeps
-/// no image table at all. Both tables are freed, and every array trimmed
-/// to its size, by Finish().
+/// Each image's facts are written straight to the tail of the packed fact
+/// array and sorted there. AddImage deduplicates them through an
+/// open-addressing table of image ids (H is a set); a caller that knows
+/// every image is new adds them with AddNewImages, and the builder keeps
+/// no image table at all. Reserve sizes the arrays for a caller that knows
+/// the counts; Finish() frees the table and trims every array to its size.
 class SynopsisBuilder {
  public:
   SynopsisBuilder() = default;
@@ -159,6 +130,10 @@ class SynopsisBuilder {
   std::span<const Synopsis::Block> blocks() const {
     return synopsis_.blocks();
   }
+
+  /// Reserves room for `blocks` blocks and `images` images of `facts`
+  /// facts in all.
+  void Reserve(size_t blocks, size_t images, size_t facts);
 
   /// Appends a block and returns its local index. Aborts if its size is 0.
   uint32_t AddBlock(Synopsis::Block block);
@@ -172,36 +147,24 @@ class SynopsisBuilder {
     return AddImage(std::span(facts.begin(), facts.size()));
   }
 
-  /// Adds a canonical image (see CanonicalizeImage) given in database
-  /// coordinates. Each (relation, block) not yet in the synopsis becomes
-  /// the next local block, in the image's order. Returns false if an
-  /// identical image was already present.
-  bool AddGlobalImage(std::span<const GlobalFact> image);
-
-  /// AddGlobalImage for an image the caller knows is not yet present: no
-  /// image table is kept or probed. A builder given this never takes a
+  /// AddImage for facts.size() / width images of `width` facts each,
+  /// back to back in `facts`, that the caller knows are new: no image
+  /// table is kept or probed. A builder given this never takes a
   /// deduplicating add, and the other way round (either aborts).
-  void AddNewGlobalImage(std::span<const GlobalFact> image);
+  void AddNewImages(std::span<const Synopsis::ImageFact> facts, size_t width);
 
-  /// Frees the build-time tables, trims every array to its size and
+  /// Frees the build-time table, trims every array to its size and
   /// returns the synopsis. The builder is empty afterwards.
   Synopsis Finish();
 
  private:
-  // Local block of (relation, block), added with `size` on first sight.
-  uint32_t LocalBlock(uint32_t relation_id, uint32_t block_id,
-                      uint32_t size);
-  // Appends the image's facts with local blocks; returns where they begin.
-  size_t AppendGlobalFacts(std::span<const GlobalFact> image);
+  // Appends `facts` to the packed fact array; returns where they begin.
+  size_t AppendFacts(std::span<const Synopsis::ImageFact> facts);
   // Sorts, dedups and checks the facts appended after `begin`.
   std::span<const Synopsis::ImageFact> SortImage(size_t begin);
   // Ends the image whose facts close the packed fact array.
   void EndImage();
-  // SortImage, then keeps the facts as a new image unless an identical one
-  // exists.
-  bool CommitImage(size_t begin);
   void GrowImageSlots();
-  void GrowBlockSlots();
 
   // Image-table slot: an image id plus its hash's low 32 bits, so most
   // mismatches are rejected without touching the packed facts.
@@ -211,8 +174,7 @@ class SynopsisBuilder {
   };
 
   Synopsis synopsis_;
-  std::vector<ImageSlot> image_slots_;   // Power-of-two size, or empty.
-  std::vector<uint32_t> block_slots_;    // Local block ids, likewise.
+  std::vector<ImageSlot> image_slots_;  // Power-of-two size, or empty.
 };
 
 }  // namespace cqa

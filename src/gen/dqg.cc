@@ -7,7 +7,7 @@
 #include "common/id_table.h"
 #include "common/macros.h"
 #include "common/rng.h"
-#include "cqa/synopsis.h"
+#include "cqa/preprocess.h"
 #include "storage/block_index.h"
 
 namespace cqa {
@@ -37,8 +37,7 @@ std::vector<DqgResult> GenerateBalancedQueries(
           block_index->relation(f.relation_id).annotation(f.row);
       image.push_back(GlobalFact{static_cast<uint32_t>(f.relation_id),
                                  static_cast<uint32_t>(ann.block_id),
-                                 static_cast<uint32_t>(ann.tuple_id),
-                                 static_cast<uint32_t>(ann.block_size)});
+                                 static_cast<uint32_t>(ann.tuple_id)});
     }
     if (!CanonicalizeImage(&image)) return true;  // Inconsistent image.
     uint64_t image_hash = image.size();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <vector>
+
 #include "query/parser.h"
 #include "test_util.h"
 
@@ -123,6 +127,80 @@ TEST(PreprocessTest, RelativeFrequencyFromSynopsisMatchesDefinition) {
     }
   }
   EXPECT_EQ(hits, 2u);
+}
+
+// r(k, x) with key k: rows (1, a), (2, b), (3, b), (2, a) put both
+// answers' facts in block k = 2, a conflict block. Answer a reaches it
+// second and answer b first, so each synopsis numbers it differently,
+// whether the images are known distinct (one atom) or deduplicated (the
+// atom twice).
+TEST(PreprocessTest, BlockSharedByTwoAnswersIsNumberedPerAnswer) {
+  Schema schema;
+  schema.AddRelation(RelationSchema(
+      "r", {{"k", ValueType::kInt}, {"x", ValueType::kString}}, {0}));
+  Database db(&schema);
+  db.Insert("r", {Value(1), Value("a")});
+  db.Insert("r", {Value(2), Value("b")});
+  db.Insert("r", {Value(3), Value("b")});
+  db.Insert("r", {Value(2), Value("a")});
+  for (const char* text :
+       {"Q(X) :- r(K, X).", "Q(X) :- r(K, X), r(K, X)."}) {
+    SCOPED_TRACE(text);
+    const PreprocessResult result =
+        BuildSynopses(db, MustParseCq(schema, text));
+    ASSERT_EQ(result.NumAnswers(), 2u);
+    const Synopsis& a = result.answers()[0].synopsis;
+    const Synopsis& b = result.answers()[1].synopsis;
+    EXPECT_EQ(result.answers()[0].answer, Tuple({Value("a")}));
+    // Database blocks: k = 1 is block 0, k = 2 block 1 (two facts), k = 3
+    // block 2.
+    ASSERT_EQ(a.NumBlocks(), 2u);
+    EXPECT_EQ(a.blocks()[0].block_id, 0u);
+    EXPECT_EQ(a.blocks()[1].block_id, 1u);
+    EXPECT_EQ(a.blocks()[1].size, 2u);
+    ASSERT_EQ(b.NumBlocks(), 2u);
+    EXPECT_EQ(b.blocks()[0].block_id, 1u);
+    EXPECT_EQ(b.blocks()[0].size, 2u);
+    EXPECT_EQ(b.blocks()[1].block_id, 2u);
+    // Local block 1 of a and local block 0 of b are the shared block.
+    EXPECT_EQ(a.DebugString(), "Synopsis{blocks=[1, 2], images=[{0:0}, {1:1}]}");
+    EXPECT_EQ(b.DebugString(), "Synopsis{blocks=[2, 1], images=[{0:0}, {1:0}]}");
+  }
+}
+
+// A double answer variable groups by value, as SlotEquals compares: -0.0
+// and +0.0 are one answer, whose tuple is the first seen, and a NaN equals
+// nothing, so each NaN homomorphism is an answer of its own. The string
+// variable beside it does not change that.
+TEST(PreprocessTest, DoubleAnswersGroupByValue) {
+  Schema schema;
+  schema.AddRelation(RelationSchema("d",
+                                    {{"k", ValueType::kInt},
+                                     {"x", ValueType::kDouble},
+                                     {"s", ValueType::kString}},
+                                    {0}));
+  Database db(&schema);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  db.Insert("d", {Value(1), Value(-0.0), Value("a")});
+  db.Insert("d", {Value(2), Value(nan), Value("a")});
+  db.Insert("d", {Value(3), Value(0.0), Value("a")});
+  db.Insert("d", {Value(4), Value(nan), Value("a")});
+  for (const char* text : {"Q(X) :- d(K, X, S).", "Q(X, S) :- d(K, X, S)."}) {
+    SCOPED_TRACE(text);
+    const PreprocessResult result =
+        BuildSynopses(db, MustParseCq(schema, text));
+    ASSERT_EQ(result.NumAnswers(), 3u);
+    const std::vector<AnswerSynopsis>& answers = result.answers();
+    EXPECT_TRUE(std::signbit(answers[0].answer[0].AsDouble()));
+    EXPECT_EQ(answers[0].answer[0].AsDouble(), 0.0);
+    EXPECT_EQ(answers[0].synopsis.NumImages(), 2u);
+    for (size_t i = 1; i < 3; ++i) {
+      EXPECT_TRUE(std::isnan(answers[i].answer[0].AsDouble()));
+      ASSERT_EQ(answers[i].synopsis.NumImages(), 1u);
+      EXPECT_EQ(answers[i].synopsis.blocks()[0].block_id, 2 * i - 1);
+    }
+    EXPECT_EQ(result.stats().num_images, 4u);
+  }
 }
 
 TEST(PreprocessTest, StatsTrackTime) {

@@ -38,6 +38,8 @@ struct RefResult {
   size_t num_homomorphisms = 0;
   size_t num_images = 0;
   size_t num_distinct_images = 0;
+  /// Whether one block holds facts of images under two or more answers.
+  bool block_shared = false;
 };
 
 /// The encoding, one homomorphism at a time: sort the image in database
@@ -99,6 +101,15 @@ RefResult ReferenceEncode(const Database& db, const ConjunctiveQuery& q) {
     return true;
   });
   ref.num_distinct_images = distinct.size();
+  std::map<std::pair<uint32_t, uint32_t>, std::set<size_t>> answers_of;
+  for (size_t a = 0; a < ref.synopses.size(); ++a) {
+    for (const Synopsis::Block& b : ref.synopses[a].blocks) {
+      answers_of[{b.relation_id, b.block_id}].insert(a);
+    }
+  }
+  for (const auto& [block, answers] : answers_of) {
+    ref.block_shared |= answers.size() >= 2;
+  }
   return ref;
 }
 
@@ -253,7 +264,8 @@ const char* const kSelfJoins[] = {
 
 TEST(SynopsisDifferentialTest, EncodersMatchTheReferenceOnRandomInstances) {
   const Schema schema = MakeSchema();
-  size_t shared_images = 0, nonempty = 0, distinct_multi = 0;
+  size_t shared_images = 0, shared_blocks = 0, nonempty = 0,
+         distinct_multi = 0;
   for (int instance = 0; instance < 240; ++instance) {
     Rng rng(7000 + instance);
     Database db(&schema);
@@ -270,15 +282,19 @@ TEST(SynopsisDifferentialTest, EncodersMatchTheReferenceOnRandomInstances) {
                  what + " (BuildSynopsesViaRewriting)");
       nonempty += ref.num_images > 0;
       shared_images += ref.num_distinct_images < ref.num_images;
+      shared_blocks += ref.block_shared;
       distinct_multi += NoRelationRepeats(q) && ref.answers.size() >= 2;
       if (HasFailure()) return;
     }
   }
   // The generator must reach the interesting cases, or the test is weak:
-  // self-joins whose answers share images, and queries without one, where
-  // BuildSynopses skips image deduplication, with several answers.
+  // self-joins whose answers share images, blocks holding facts of two
+  // answers (each synopsis numbers them afresh), and queries without a
+  // self-join, where BuildSynopses skips image deduplication, with
+  // several answers.
   EXPECT_GT(nonempty, 240u);
   EXPECT_GT(shared_images, 10u);
+  EXPECT_GT(shared_blocks, 50u);
   EXPECT_GT(distinct_multi, 30u);
 }
 

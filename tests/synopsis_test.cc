@@ -4,13 +4,42 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "cqa/preprocess.h"
 #include "test_util.h"
 
 namespace cqa {
 namespace {
+
+/// A database for SynopsisEncoder: relation r has blocks of sizes
+/// sizes[r], block b being the rows with key b.
+struct BlockFixture {
+  explicit BlockFixture(const std::vector<std::vector<int>>& sizes) {
+    for (size_t r = 0; r < sizes.size(); ++r) {
+      schema.AddRelation(RelationSchema(
+          "r" + std::to_string(r),
+          {{"k", ValueType::kInt}, {"v", ValueType::kInt}}, {0}));
+    }
+    db = std::make_unique<Database>(&schema);
+    for (size_t r = 0; r < sizes.size(); ++r) {
+      for (size_t b = 0; b < sizes[r].size(); ++b) {
+        for (int t = 0; t < sizes[r][b]; ++t) {
+          db->Insert("r" + std::to_string(r),
+                     {Value(static_cast<int64_t>(b)), Value(t)});
+        }
+      }
+    }
+    index = db->block_index();
+  }
+
+  Schema schema;
+  std::unique_ptr<Database> db;
+  std::shared_ptr<const BlockIndex> index;
+};
 
 Synopsis TwoBlockSynopsis() {
   // Blocks of sizes 2 and 3; images {0:0}, {0:1, 1:2}.
@@ -119,32 +148,44 @@ TEST(SynopsisTest, DedupHoldsAcrossTableGrowth) {
 }
 
 // Database coordinates: a (relation, block) becomes the next local block
-// on first sight, in the image's order, and keeps its number after.
+// on first sight, in the image's order, and keeps its number after. The
+// next synopsis numbers the same blocks afresh.
 TEST(SynopsisTest, GlobalImagesNumberBlocksByFirstAppearance) {
-  SynopsisBuilder b;
-  EXPECT_TRUE(b.AddGlobalImage(std::vector<GlobalFact>{{1, 9, 0, 2}}));
-  EXPECT_TRUE(b.AddGlobalImage(
-      std::vector<GlobalFact>{{0, 4, 1, 3}, {1, 9, 1, 2}}));
-  EXPECT_FALSE(b.AddGlobalImage(std::vector<GlobalFact>{{1, 9, 0, 2}}));
-  const Synopsis s = b.Finish();
+  const BlockFixture fx({{1, 3}, {1, 1, 2}});
+  SynopsisEncoder encoder(*fx.index);
+  // Images {r1.2:0}, {r0.1:1, r1.2:1} and the first again.
+  const std::vector<GlobalFact> facts = {
+      {1, 2, 0}, {0, 1, 1}, {1, 2, 1}, {1, 2, 0}};
+  const std::vector<uint32_t> ends = {1, 3, 4};
+  const Synopsis s = encoder.Encode(facts, ends);
+  ASSERT_EQ(s.NumImages(), 2u);
   ASSERT_EQ(s.NumBlocks(), 2u);
   EXPECT_EQ(s.blocks()[0].relation_id, 1u);
-  EXPECT_EQ(s.blocks()[0].block_id, 9u);
+  EXPECT_EQ(s.blocks()[0].block_id, 2u);
+  EXPECT_EQ(s.blocks()[0].size, 2u);
   EXPECT_EQ(s.blocks()[1].relation_id, 0u);
   EXPECT_EQ(s.blocks()[1].size, 3u);
   // Image 1's facts are sorted by local block, not by relation.
   ASSERT_EQ(s.image(1).size(), 2u);
   EXPECT_EQ(s.image(1)[0], (Synopsis::ImageFact{0, 1}));
   EXPECT_EQ(s.image(1)[1], (Synopsis::ImageFact{1, 1}));
+
+  const std::vector<GlobalFact> next = {{0, 1, 2}, {1, 2, 0}};
+  const Synopsis t = encoder.Encode(next, std::vector<uint32_t>{2});
+  ASSERT_EQ(t.NumBlocks(), 2u);
+  EXPECT_EQ(t.blocks()[0].relation_id, 0u);
+  EXPECT_EQ(t.blocks()[1].relation_id, 1u);
+  EXPECT_EQ(t.image(0)[0], (Synopsis::ImageFact{0, 2}));
+  EXPECT_EQ(t.image(0)[1], (Synopsis::ImageFact{1, 0}));
 }
 
 TEST(SynopsisTest, CanonicalizeImageSortsDedupsAndChecksConsistency) {
-  std::vector<GlobalFact> image = {{2, 0, 1, 3}, {0, 5, 0, 1}, {2, 0, 1, 3}};
+  std::vector<GlobalFact> image = {{2, 0, 1}, {0, 5, 0}, {2, 0, 1}};
   ASSERT_TRUE(CanonicalizeImage(&image));
   ASSERT_EQ(image.size(), 2u);
   EXPECT_EQ(image[0].relation_id, 0u);
   EXPECT_EQ(image[1].relation_id, 2u);
-  std::vector<GlobalFact> conflict = {{2, 0, 1, 3}, {2, 0, 2, 3}};
+  std::vector<GlobalFact> conflict = {{2, 0, 1}, {2, 0, 2}};
   EXPECT_FALSE(CanonicalizeImage(&conflict));
 }
 
@@ -166,43 +207,40 @@ TEST(SynopsisDeathTest, RejectsEmptyImage) {
   EXPECT_DEATH(b.AddImage({}), "at least one fact");
 }
 
-TEST(SynopsisDeathTest, OneBuilderNumbersBlocksOneWay) {
+TEST(SynopsisDeathTest, EncoderRejectsBlocksOutsideTheIndex) {
+  const BlockFixture fx({{2, 1}});
   EXPECT_DEATH(
       {
-        SynopsisBuilder b;
-        b.AddBlock(Synopsis::Block{2, 0, 0});
-        b.AddGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
+        SynopsisEncoder encoder(*fx.index);
+        encoder.Encode(std::vector<GlobalFact>{{0, 2, 0}},
+                       std::vector<uint32_t>{1});
       },
-      "given blocks by AddBlock");
+      "block_id");
   EXPECT_DEATH(
       {
-        SynopsisBuilder b;
-        b.AddGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
-        b.AddBlock(Synopsis::Block{2, 0, 1});
+        SynopsisEncoder encoder(*fx.index);
+        encoder.EncodeDistinct(std::vector<GlobalFact>{{1, 0, 0}}, 1);
       },
-      "numbering blocks by AddGlobalImage");
+      "relation_id");
 }
 
-// AddNewGlobalImage skips only the duplicate check: blocks, fact order
-// and offsets are those AddGlobalImage builds from the same new images.
+// EncodeDistinct skips only the duplicate check: blocks, fact order and
+// offsets are those Encode builds from the same new images.
 TEST(SynopsisTest, NewGlobalImagesEncodeAsDeduplicatedOnes) {
-  const std::vector<std::vector<GlobalFact>> images = {
-      {{1, 9, 0, 2}},
-      {{0, 4, 1, 3}, {1, 9, 1, 2}},
-      {{0, 7, 0, 1}, {1, 9, 0, 2}, {2, 3, 2, 4}}};
-  SynopsisBuilder checked, unchecked;
-  for (const std::vector<GlobalFact>& image : images) {
-    EXPECT_TRUE(checked.AddGlobalImage(image));
-    unchecked.AddNewGlobalImage(image);
-  }
-  const Synopsis a = checked.Finish(), b = unchecked.Finish();
+  const BlockFixture fx({{1, 3, 2}, {1, 1, 2}});
+  const std::vector<GlobalFact> facts = {{0, 0, 0}, {1, 2, 1},
+                                         {0, 1, 2}, {1, 2, 0},
+                                         {0, 2, 1}, {1, 0, 0}};
+  SynopsisEncoder checked(*fx.index), unchecked(*fx.index);
+  const Synopsis a = checked.Encode(facts, std::vector<uint32_t>{2, 4, 6});
+  const Synopsis b = unchecked.EncodeDistinct(facts, 2);
   EXPECT_EQ(a.DebugString(), b.DebugString());
   ASSERT_EQ(a.NumBlocks(), b.NumBlocks());
   for (size_t k = 0; k < a.NumBlocks(); ++k) {
     EXPECT_EQ(a.blocks()[k].relation_id, b.blocks()[k].relation_id);
     EXPECT_EQ(a.blocks()[k].block_id, b.blocks()[k].block_id);
   }
-  ASSERT_EQ(b.NumImages(), images.size());
+  ASSERT_EQ(b.NumImages(), 3u);
   EXPECT_TRUE(std::ranges::equal(a.facts(), b.facts()));
 }
 
@@ -210,17 +248,19 @@ TEST(SynopsisDeathTest, OneBuilderChecksImagesOneWay) {
   EXPECT_DEATH(
       {
         SynopsisBuilder b;
-        b.AddGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
-        b.AddNewGlobalImage(std::vector<GlobalFact>{{0, 0, 1, 2}});
+        b.AddBlock(Synopsis::Block{2, 0, 0});
+        b.AddImage({{0, 0}});
+        b.AddNewImages(std::vector<Synopsis::ImageFact>{{0, 1}}, 1);
       },
       "builder that deduplicates images");
   EXPECT_DEATH(
       {
         SynopsisBuilder b;
-        b.AddNewGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
-        b.AddGlobalImage(std::vector<GlobalFact>{{0, 0, 0, 2}});
+        b.AddBlock(Synopsis::Block{2, 0, 0});
+        b.AddNewImages(std::vector<Synopsis::ImageFact>{{0, 0}}, 1);
+        b.AddImage({{0, 0}});
       },
-      "given AddNewGlobalImage");
+      "given AddNewImages");
 }
 
 TEST(SynopsisTest, RandomSynopsesAreWellFormed) {
