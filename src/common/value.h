@@ -1,6 +1,7 @@
 #ifndef CQABENCH_COMMON_VALUE_H_
 #define CQABENCH_COMMON_VALUE_H_
 
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <functional>
@@ -203,6 +204,11 @@ inline bool SlotEquals(ValueType type, ValueSlot a, ValueSlot b) {
       return a.s == b.s || *a.s == *b.s;
   }
   return false;
+}
+
+/// True iff a slot of `type` holds a NaN, which equals no value.
+inline bool SlotIsNaN(ValueType type, ValueSlot slot) {
+  return type == ValueType::kDouble && std::isnan(slot.d);
 }
 
 /// A hash of a slot of `type` that agrees with SlotEquals (±0 hash alike).

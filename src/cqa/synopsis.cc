@@ -12,16 +12,13 @@ namespace cqa {
 namespace {
 
 constexpr uint32_t kNoId = UINT32_MAX;
-constexpr size_t kFirstSlots = 16;
 
-// Table slots index by the hash's low bits; the image table also keeps
-// all 32 as a tag, so the hash is folded to 32 bits first.
-uint32_t HashImage(std::span<const Synopsis::ImageFact> facts) {
+uint64_t HashImage(std::span<const Synopsis::ImageFact> facts) {
   uint64_t h = facts.size();
   for (const Synopsis::ImageFact& f : facts) {
     h = SplitMix64(h ^ ((uint64_t{f.block} << 32) | f.tid));
   }
-  return static_cast<uint32_t>(h ^ (h >> 32));
+  return h;
 }
 
 }  // namespace
@@ -106,27 +103,22 @@ uint32_t SynopsisBuilder::AddBlock(Synopsis::Block block) {
 bool SynopsisBuilder::AddImage(std::span<const Synopsis::ImageFact> facts) {
   const size_t begin = AppendFacts(facts);
   const std::span<const Synopsis::ImageFact> image = SortImage(begin);
-  CQA_CHECK_MSG(!image_slots_.empty() || NumImages() == 0,
+  CQA_CHECK_MSG(image_ids_.size() == NumImages(),
                 "a deduplicating add on a builder given AddNewImages");
-  if ((NumImages() + 1) * 2 > image_slots_.size()) GrowImageSlots();
-  const uint32_t hash = HashImage(image);
-  const size_t mask = image_slots_.size() - 1;
-  size_t s = hash & mask;
-  for (; image_slots_[s].id != kNoId; s = (s + 1) & mask) {
-    if (image_slots_[s].hash == hash &&
-        std::ranges::equal(synopsis_.image(image_slots_[s].id), image)) {
-      synopsis_.facts_.resize(begin);  // H is a set: drop the repeat.
-      return false;
-    }
+  const uint32_t id = static_cast<uint32_t>(NumImages());
+  if (image_ids_.FindOrAdd(id, HashImage(image), [&](uint32_t other) {
+        return std::ranges::equal(synopsis_.image(other), image);
+      }) != id) {
+    synopsis_.facts_.resize(begin);  // H is a set: drop the repeat.
+    return false;
   }
   EndImage();
-  image_slots_[s] = ImageSlot{static_cast<uint32_t>(NumImages() - 1), hash};
   return true;
 }
 
 void SynopsisBuilder::AddNewImages(std::span<const Synopsis::ImageFact> facts,
                                    size_t width) {
-  CQA_CHECK_MSG(image_slots_.empty(),
+  CQA_CHECK_MSG(image_ids_.size() == 0,
                 "AddNewImages on a builder that deduplicates images");
   CQA_CHECK(width >= 1 && facts.size() % width == 0);
   for (size_t at = 0; at < facts.size(); at += width) {
@@ -143,7 +135,7 @@ size_t SynopsisBuilder::AppendFacts(
 }
 
 Synopsis SynopsisBuilder::Finish() {
-  image_slots_ = std::vector<ImageSlot>();
+  image_ids_ = IdTable();
   synopsis_.blocks_.shrink_to_fit();
   synopsis_.image_offsets_.shrink_to_fit();
   synopsis_.facts_.shrink_to_fit();
@@ -182,19 +174,6 @@ void SynopsisBuilder::EndImage() {
   std::vector<uint32_t>& offsets = synopsis_.image_offsets_;
   if (offsets.empty()) offsets.push_back(0);
   offsets.push_back(static_cast<uint32_t>(facts.size()));
-}
-
-void SynopsisBuilder::GrowImageSlots() {
-  std::vector<ImageSlot> old = std::move(image_slots_);
-  image_slots_.assign(std::max(kFirstSlots, old.size() * 2),
-                      ImageSlot{kNoId, 0});
-  const size_t mask = image_slots_.size() - 1;
-  for (const ImageSlot& slot : old) {
-    if (slot.id == kNoId) continue;
-    size_t s = slot.hash & mask;
-    while (image_slots_[s].id != kNoId) s = (s + 1) & mask;
-    image_slots_[s] = slot;
-  }
 }
 
 }  // namespace cqa

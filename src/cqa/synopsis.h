@@ -14,6 +14,8 @@
 #include <string>
 #include <vector>
 
+#include "common/id_table.h"
+
 namespace cqa {
 
 /// The admissible pair (H, B) of §4.1 in encoded form (§5 / Appendix C).
@@ -116,11 +118,11 @@ class Synopsis {
 /// (SynopsisEncoder in preprocess.h) and hands the builder local ones.
 ///
 /// Each image's facts are written straight to the tail of the packed fact
-/// array and sorted there. AddImage deduplicates them through an
-/// open-addressing table of image ids (H is a set); a caller that knows
-/// every image is new adds them with AddNewImages, and the builder keeps
-/// no image table at all. Reserve sizes the arrays for a caller that knows
-/// the counts; Finish() frees the table and trims every array to its size.
+/// array and sorted there. AddImage deduplicates them through an IdTable
+/// of image ids (H is a set); a caller that knows every image is new adds
+/// them with AddNewImages, and the builder keeps no image table at all.
+/// Reserve sizes the arrays for a caller that knows the counts; Finish()
+/// frees the table and trims every array to its size.
 class SynopsisBuilder {
  public:
   SynopsisBuilder() = default;
@@ -164,17 +166,9 @@ class SynopsisBuilder {
   std::span<const Synopsis::ImageFact> SortImage(size_t begin);
   // Ends the image whose facts close the packed fact array.
   void EndImage();
-  void GrowImageSlots();
-
-  // Image-table slot: an image id plus its hash's low 32 bits, so most
-  // mismatches are rejected without touching the packed facts.
-  struct ImageSlot {
-    uint32_t id;
-    uint32_t hash;
-  };
 
   Synopsis synopsis_;
-  std::vector<ImageSlot> image_slots_;  // Power-of-two size, or empty.
+  IdTable image_ids_;  // Empty unless AddImage deduplicates.
 };
 
 }  // namespace cqa

@@ -33,7 +33,7 @@ void InflateBlocks(Database* db, size_t rid, const std::vector<size_t>& rows,
 
   for (size_t pick : picks) {
     size_t row = rows[pick];
-    Tuple key = rel.KeyOf(row);
+    const Tuple key = ProjectTuple(rel.row(row), rs.key_positions());
 
     size_t s = static_cast<size_t>(
         rng.UniformInt(static_cast<int64_t>(options.min_block_size),
@@ -48,7 +48,9 @@ void InflateBlocks(Database* db, size_t rid, const std::vector<size_t>& rows,
       for (int attempt = 0; attempt < 32 && !found; ++attempt) {
         size_t donor = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(original_size) - 1));
-        if (rel.KeyOf(donor) == key) continue;
+        if (ProjectTuple(rel.row(donor), rs.key_positions()) == key) {
+          continue;
+        }
         candidate = rel.row(donor);
         for (size_t i = 0; i < rs.key_positions().size(); ++i) {
           candidate[rs.key_positions()[i]] = key[i];

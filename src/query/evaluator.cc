@@ -1,149 +1,19 @@
 #include "query/evaluator.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <unordered_set>
 
 #include "common/macros.h"
-#include "common/rng.h"
 
 namespace cqa {
 
-namespace {
-
-bool IsNaN(ValueType type, ValueSlot slot) {
-  return type == ValueType::kDouble && std::isnan(slot.d);
-}
-
-/// Linear probing from `hash` to the entry whose key `same` accepts, or to
-/// the free entry that ends the probe sequence.
-template <typename Entry, typename Same>
-size_t ProbeTable(const std::vector<Entry>& table, uint64_t hash, Same same) {
-  const size_t mask = table.size() - 1;
-  const uint32_t tag = static_cast<uint32_t>(hash >> 32);
-  size_t e = hash & mask;
-  while (table[e].key != UINT32_MAX &&
-         !(table[e].tag == tag && same(table[e].key))) {
-    e = (e + 1) & mask;
-  }
-  return e;
-}
-
-}  // namespace
-
-uint64_t RelationIndex::HashKey(const ValueSlot* key) const {
-  uint64_t hash = types_.size();
-  for (size_t k = 0; k < types_.size(); ++k) {
-    hash = SplitMix64(hash ^ SlotHash(types_[k], key[k]));
-  }
-  return hash;
-}
-
-bool RelationIndex::KeyEqualsRow(const ValueSlot* key, uint32_t row) const {
-  for (size_t k = 0; k < types_.size(); ++k) {
-    if (!SlotEquals(types_[k], key[k], rel_->SlotAt(row, positions_[k]))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-RelationIndex RelationIndex::Build(const Relation& rel,
-                                   std::vector<size_t> positions) {
-  CQA_CHECK(rel.size() < kEmpty);
-  RelationIndex index;
-  index.rel_ = &rel;
-  index.positions_ = std::move(positions);
-  for (size_t pos : index.positions_) {
-    CQA_CHECK(pos < rel.schema().arity());
-    index.types_.push_back(rel.schema().attribute(pos).type);
-  }
-  const size_t width = index.positions_.size();
-  std::vector<ValueSlot> key(width);
-  auto read_key = [&](uint32_t row) {
-    bool nan = false;
-    for (size_t k = 0; k < width; ++k) {
-      key[k] = rel.SlotAt(row, index.positions_[k]);
-      nan |= IsNaN(index.types_[k], key[k]);
-    }
-    return !nan;
-  };
-
-  // Pass 1: a dense key id per row, in order of first appearance, and the
-  // row count of each key (kept in offsets_ until pass 2).
-  std::vector<uint32_t> key_of(rel.size(), kEmpty);
-  std::vector<uint32_t> first_row;  // Per key id.
-  std::vector<uint32_t>& counts = index.offsets_;
-  std::vector<Entry>& table = index.table_;
-  table.assign(16, Entry{0, kEmpty});
-  auto grow = [&] {
-    std::vector<Entry> old = std::move(table);
-    table.assign(old.size() * 2, Entry{0, kEmpty});
-    for (const Entry& entry : old) {
-      if (entry.key == kEmpty) continue;
-      read_key(first_row[entry.key]);
-      const size_t e = ProbeTable(table, index.HashKey(key.data()),
-                                  [](uint32_t) { return false; });
-      table[e] = entry;
-    }
-  };
-  for (uint32_t row = 0; row < rel.size(); ++row) {
-    if (!read_key(row)) continue;  // A NaN in the key matches nothing.
-    const uint64_t hash = index.HashKey(key.data());
-    size_t e = ProbeTable(table, hash, [&](uint32_t k) {
-      return index.KeyEqualsRow(key.data(), first_row[k]);
-    });
-    if (table[e].key == kEmpty) {
-      if ((first_row.size() + 1) * 2 > table.size()) {
-        grow();
-        read_key(row);
-        e = ProbeTable(table, hash, [](uint32_t) { return false; });
-      }
-      table[e] = Entry{static_cast<uint32_t>(hash >> 32),
-                       static_cast<uint32_t>(first_row.size())};
-      first_row.push_back(row);
-      counts.push_back(0);
-    }
-    key_of[row] = table[e].key;
-    ++counts[table[e].key];
-  }
-
-  // Pass 2: counts become CSR offsets; rows land in ascending order.
-  uint32_t start = 0;
-  for (uint32_t& entry : counts) {
-    const uint32_t count = entry;
-    entry = start;
-    start += count;
-  }
-  counts.push_back(start);
-  counts.shrink_to_fit();
-  index.rows_.resize(start);
-  std::vector<uint32_t> cursor(counts.begin(), counts.end() - 1);
-  for (uint32_t row = 0; row < rel.size(); ++row) {
-    if (key_of[row] != kEmpty) index.rows_[cursor[key_of[row]]++] = row;
-  }
-  return index;
-}
-
-std::span<const uint32_t> RelationIndex::Find(const ValueSlot* key) const {
-  for (size_t k = 0; k < types_.size(); ++k) {
-    if (IsNaN(types_[k], key[k])) return {};
-  }
-  const size_t e = ProbeTable(table_, HashKey(key), [&](uint32_t k) {
-    return KeyEqualsRow(key, rows_[offsets_[k]]);
-  });
-  const uint32_t k = table_[e].key;
-  if (k == kEmpty) return {};
-  return std::span<const uint32_t>(rows_.data() + offsets_[k],
-                                   offsets_[k + 1] - offsets_[k]);
-}
-
 std::span<const uint32_t> RelationIndex::Lookup(const Tuple& key) const {
-  CQA_CHECK(key.size() == types_.size());
+  const std::vector<ValueType>& types = groups_.types();
+  CQA_CHECK(key.size() == types.size());
   std::vector<ValueSlot> slots(key.size());
   for (size_t k = 0; k < key.size(); ++k) {
-    if (key[k].type() != types_[k]) return {};
+    if (key[k].type() != types[k]) return {};
     slots[k] = SlotOf(key[k]);
   }
   return Find(slots.data());
@@ -340,7 +210,7 @@ class Search {
         const ValueType type = schema.attribute(pos).type;
         if (t.is_constant()) {
           const Value& c = t.constant();
-          never |= c.type() != type || IsNaN(type, SlotOf(c));
+          never |= c.type() != type || SlotIsNaN(type, SlotOf(c));
           step.key.push_back(KeyPart{true, 0, SlotOf(c)});
           step.scan_key.push_back(c);
         } else if (bound[t.var()]) {

@@ -11,50 +11,46 @@
 #include "common/thread_annotations.h"
 #include "query/cq.h"
 #include "storage/database.h"
+#include "storage/key_groups.h"
 
 namespace cqa {
 
 /// Hash index of one relation on a fixed set of key positions, built on
-/// demand by DatabaseIndexCache and immutable afterwards. Each distinct key
-/// owns a run of 32-bit row numbers in CSR form (one offsets array, one row
-/// array, rows ascending within a key); an open-addressing table over typed
-/// key hashes finds the run. Keys are not stored: a probe compares against
+/// demand by DatabaseIndexCache and immutable afterwards: the key-grouping
+/// kernel's groups (storage/key_groups.h) with their lookup chains. Each
+/// distinct key owns a run of 32-bit row numbers in CSR form, rows
+/// ascending within a key. Keys are not stored: a probe compares against
 /// the first row of the run, so the relation must outlive the index and not
 /// grow. Rows whose key holds a NaN are left out, since NaN equals nothing.
 class RelationIndex {
  public:
   static RelationIndex Build(const Relation& rel,
-                             std::vector<size_t> positions);
+                             std::vector<size_t> positions) {
+    return RelationIndex(KeyGroups::Build(rel, std::move(positions),
+                                          KeyGroups::NanRows::kLeftOut));
+  }
 
   /// Rows, ascending, whose projection onto positions() equals `key`: one
   /// slot per position, typed as that column.
-  std::span<const uint32_t> Find(const ValueSlot* key) const;
+  std::span<const uint32_t> Find(const ValueSlot* key) const {
+    const uint32_t g = groups_.Find(key);
+    if (g == KeyGroups::kNone) return {};
+    return groups_.group(g);
+  }
 
   /// Find for a Tuple key. A value whose type differs from its column's
   /// matches nothing.
   std::span<const uint32_t> Lookup(const Tuple& key) const;
 
-  const std::vector<size_t>& positions() const { return positions_; }
+  const std::vector<size_t>& positions() const { return groups_.positions(); }
 
   /// Number of distinct keys.
-  size_t NumKeys() const { return offsets_.size() - 1; }
+  size_t NumKeys() const { return groups_.NumGroups(); }
 
  private:
-  struct Entry {
-    uint32_t tag;  // High half of the key hash.
-    uint32_t key;  // Dense key id; kEmpty marks a free entry.
-  };
-  static constexpr uint32_t kEmpty = UINT32_MAX;
+  explicit RelationIndex(KeyGroups groups) : groups_(std::move(groups)) {}
 
-  uint64_t HashKey(const ValueSlot* key) const;
-  bool KeyEqualsRow(const ValueSlot* key, uint32_t row) const;
-
-  const Relation* rel_ = nullptr;
-  std::vector<size_t> positions_;
-  std::vector<ValueType> types_;  // Column type per position.
-  std::vector<Entry> table_;      // Power-of-two size.
-  std::vector<uint32_t> offsets_;  // Key k: rows_[offsets_[k], offsets_[k+1]).
-  std::vector<uint32_t> rows_;
+  KeyGroups groups_;
 };
 
 /// Lazily built cache of RelationIndexes for one database. Reusing a cache

@@ -2,6 +2,7 @@
 
 #include <cstdarg>
 #include <cstdio>
+#include <unordered_set>
 
 namespace cqa::audit {
 
@@ -34,13 +35,23 @@ bool CheckBlockPartition(const Database& db, const BlockIndex& index,
   for (size_t rid = 0; rid < db.NumRelations(); ++rid) {
     const Relation& rel = db.relation(rid);
     const RelationBlockIndex& rbi = index.relation(rid);
+    const std::vector<size_t> key =
+        RelationBlockIndex::KeyPositions(rel.schema());
     // Every row of the relation must be claimed by exactly one block.
     std::vector<char> seen(rel.size(), 0);
     size_t covered = 0;
+    // One entry per block; Value equality keeps ±0 one key and every NaN
+    // a key of its own.
+    std::unordered_set<Tuple, TupleHash> block_keys;
     for (size_t bid = 0; bid < rbi.NumBlocks(); ++bid) {
       const std::span<const uint32_t> rows = rbi.block(bid);
       if (rows.empty()) {
         return Fail(why, "relation %zu: block %zu is empty", rid, bid);
+      }
+      if (bid > 0 && rows[0] <= rbi.block(bid - 1)[0]) {
+        return Fail(why, "relation %zu: block %zu opens at row %zu, not "
+                         "after the first row of block %zu",
+                    rid, bid, size_t{rows[0]}, bid - 1);
       }
       for (size_t tid = 0; tid < rows.size(); ++tid) {
         size_t row = rows[tid];
@@ -63,6 +74,27 @@ bool CheckBlockPartition(const Database& db, const BlockIndex& index,
                            "inconsistent with block %zu",
                       rid, row, bid);
         }
+        if (tid == 0) continue;
+        if (row <= rows[tid - 1]) {
+          return Fail(why, "relation %zu: block %zu gives row %zu a later "
+                           "tid than row %zu",
+                      rid, bid, row, size_t{rows[tid - 1]});
+        }
+        for (size_t pos : key) {
+          if (!SlotEquals(rel.schema().attribute(pos).type,
+                          rel.SlotAt(rows[0], pos), rel.SlotAt(row, pos))) {
+            return Fail(why, "relation %zu: row %zu differs on the key from "
+                             "row %zu, the first of block %zu",
+                        rid, row, size_t{rows[0]}, bid);
+          }
+        }
+      }
+      Tuple block_key;
+      for (size_t pos : key) block_key.push_back(rel.ValueAt(rows[0], pos));
+      if (!block_keys.insert(std::move(block_key)).second) {
+        return Fail(why, "relation %zu: block %zu has the key of an earlier "
+                         "block",
+                    rid, bid);
       }
     }
     if (covered != rel.size()) {

@@ -22,7 +22,11 @@ namespace cqa::audit {
 /// exactly one block, at the position its annotation claims, and the
 /// annotated block size matches the block's actual cardinality. This is
 /// the "blocks partition the inconsistent relation" precondition every
-/// synopsis and repair-enumeration result rests on.
+/// synopsis and repair-enumeration result rests on. The partition must
+/// also be the key's, under Value equality: every row of a block equals
+/// the block's first row on the key (the whole tuple when the relation has
+/// none), no two blocks share a key, blocks open in row order and tids
+/// follow row order.
 bool CheckBlockPartition(const Database& db, const BlockIndex& index,
                          std::string* why);
 

@@ -1,14 +1,12 @@
 // Conflict-block construction over the columnar storage plane: groups each
 // relation's facts by primary-key value into blocks, the in-memory
-// equivalent of the paper's Q_R view. Block ids and tuple ids are assigned
-// by first appearance in row order — identical across every build path, so
-// synopses stay bit-for-bit reproducible. Construction is vectorized over
-// column runs: single-int, single-string and int-pair keys group through
-// typed hash maps with one dictionary probe per distinct code per chunk,
-// and key columns that chunk statistics prove strictly ascending skip
-// hashing entirely (every block is a singleton). Everything else falls
-// back to tuple-keyed grouping. The grouping maps live only while Build
-// runs; the built index is immutable and laid out as CSR with 32-bit
+// equivalent of the paper's Q_R view. Block ids and tuple ids follow first
+// appearance in row order whichever way a relation is grouped, so synopses
+// stay bit-for-bit reproducible. A key of int columns that chunk
+// statistics and a full check prove strictly ascending needs no grouping
+// at all (every block is a singleton); every other relation goes through
+// the key-grouping kernel (storage/key_groups.h), whose lookup chains die
+// with Build. The built index is immutable and laid out as CSR with 32-bit
 // entries. A Database builds one lazily and shares it
 // (Database::block_index); see docs/storage.md.
 #ifndef CQABENCH_STORAGE_BLOCK_INDEX_H_
@@ -43,6 +41,10 @@ class RelationBlockIndex {
   /// block per distinct whole tuple (its facts are never in conflict).
   static RelationBlockIndex Build(const Relation& rel);
 
+  /// The positions blocks group by: the key, or every position when the
+  /// relation has none.
+  static std::vector<size_t> KeyPositions(const RelationSchema& rs);
+
   size_t NumBlocks() const { return offsets_.size() - 1; }
 
   /// Row indexes of block `bid`, in tuple-id order.
@@ -68,18 +70,7 @@ class RelationBlockIndex {
 
   RelationBlockIndex() = default;
 
-  /// Gives `row` the next tuple id of block `bid`; bid == NumBlocks so
-  /// far opens a new block.
-  void Append(size_t row, size_t bid);
-  void GroupIntKey(const Relation& rel, size_t col);
-  void GroupStringKey(const Relation& rel, size_t col);
-  void GroupIntPairKey(const Relation& rel, size_t col_a, size_t col_b);
-  void GroupTupleKey(const Relation& rel);
-  /// Turns the per-block row counts into CSR offsets and fills rows_.
-  void Finish();
-
-  // Block b holds rows_[offsets_[b], offsets_[b + 1]). While Build
-  // groups, offsets_[b] counts block b's rows instead.
+  // Block b holds rows_[offsets_[b], offsets_[b + 1]).
   std::vector<uint32_t> offsets_;
   std::vector<uint32_t> rows_;
   std::vector<RowTag> tags_;  // Per row.

@@ -1,10 +1,9 @@
 #include "storage/database.h"
 
-#include <unordered_map>
-
 #include "common/macros.h"
 #include "obs/metrics.h"
 #include "storage/block_index.h"
+#include "storage/key_groups.h"
 
 namespace cqa {
 
@@ -58,16 +57,19 @@ std::vector<KeyViolation> Database::FindKeyViolations(size_t limit) const {
   for (size_t id = 0; id < relations_.size(); ++id) {
     const Relation& rel = relations_[id];
     if (!rel.schema().has_key()) continue;
-    std::unordered_map<Tuple, size_t, TupleHash> first_row;
-    first_row.reserve(rel.size());
+    // Each row against the first row of its key's group. A NaN-keyed row
+    // is a group of its own, so it never conflicts.
+    const KeyGroups groups = KeyGroups::Build(
+        rel, rel.schema().key_positions(), KeyGroups::NanRows::kOwnGroup);
+    std::vector<uint32_t> first(rel.size());
+    for (size_t g = 0; g < groups.NumGroups(); ++g) {
+      for (uint32_t row : groups.group(g)) first[row] = groups.group(g)[0];
+    }
     for (size_t row = 0; row < rel.size(); ++row) {
-      Tuple key = rel.KeyOf(row);
-      auto [it, inserted] = first_row.emplace(std::move(key), row);
-      if (!inserted && !rel.RowsEqual(it->second, row)) {
-        violations.push_back(
-            KeyViolation{FactRef{id, it->second}, FactRef{id, row}});
-        if (limit != 0 && violations.size() >= limit) return violations;
-      }
+      if (first[row] == row || rel.RowsEqual(first[row], row)) continue;
+      violations.push_back(
+          KeyViolation{FactRef{id, first[row]}, FactRef{id, row}});
+      if (limit != 0 && violations.size() >= limit) return violations;
     }
   }
   return violations;

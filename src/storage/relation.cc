@@ -95,22 +95,6 @@ Tuple Relation::row(size_t i) const {
   return t;
 }
 
-std::vector<Tuple> Relation::rows() const {
-  std::vector<Tuple> out;
-  out.reserve(num_rows_);
-  for (size_t i = 0; i < num_rows_; ++i) out.push_back(row(i));
-  return out;
-}
-
-Tuple Relation::KeyOf(size_t i) const {
-  CQA_CHECK(i < num_rows_);
-  if (!schema_->has_key()) return row(i);
-  Tuple key;
-  key.reserve(schema_->key_positions().size());
-  for (size_t pos : schema_->key_positions()) key.push_back(ValueAt(i, pos));
-  return key;
-}
-
 size_t Relation::AppendRow(std::span<const FieldView> row) {
   CQA_DCHECK(row.size() == schema_->arity());
   for (size_t col = 0; col < row.size(); ++col) {

@@ -6,9 +6,8 @@
 // FactRef, block ids and tuple ids valid while noise is injected. Readers
 // consume column runs through ForEachRun/ScanMatching (the vectorized
 // path), read typed slots through SlotAt (the query evaluator), or
-// materialize tuples through the row-view adapter (row/rows/KeyOf), which
-// preserves the pre-columnar API. See docs/storage.md for the full storage
-// contract.
+// materialize one row as a Tuple through row(), the counterpart of Insert.
+// See docs/storage.md for the full storage contract.
 #ifndef CQABENCH_STORAGE_RELATION_H_
 #define CQABENCH_STORAGE_RELATION_H_
 
@@ -73,22 +72,11 @@ class Relation {
   size_t size() const { return num_rows_; }
   bool empty() const { return num_rows_ == 0; }
 
-  // --- Row-view compatibility adapter -----------------------------------
-  // The pre-columnar tuple API, kept source-compatible for samplers,
-  // repairs, audits and tests. row() and rows() materialize: hot paths
-  // should use ValueAt/ValueEquals/ForEachRun instead.
-
-  /// Materializes row `i` as a tuple.
-  Tuple row(size_t i) const;
-
-  /// Materializes every row (test/tooling convenience, O(facts) copies).
-  std::vector<Tuple> rows() const;
-
-  /// Extracts the key value of row `i` (the key projection; the whole
-  /// tuple if the relation has no key).
-  Tuple KeyOf(size_t i) const;
-
   // --- Point access over columns ----------------------------------------
+
+  /// Materializes row `i` as a tuple, the form Insert takes. Hot paths
+  /// read SlotAt/ValueEquals/ForEachRun instead.
+  Tuple row(size_t i) const;
 
   /// The value at (row, column) as a slot of the column's type: the number
   /// itself, or a pointer to the string in its segment, dictionary or the

@@ -20,25 +20,6 @@ const char* SegmentEncodingName(SegmentEncoding encoding) {
   return "?";
 }
 
-Value ColumnRun::ValueAt(size_t i) const {
-  CQA_DCHECK(i < length);
-  if (encoding == SegmentEncoding::kDictionary) {
-    uint32_t code = codes[i];
-    CQA_DCHECK(code < dict_size);
-    if (type == ValueType::kInt) return Value(int_dict[code]);
-    return Value(string_dict[code]);
-  }
-  switch (type) {
-    case ValueType::kInt:
-      return Value(ints[i]);
-    case ValueType::kDouble:
-      return Value(doubles[i]);
-    case ValueType::kString:
-      return Value(strings[i]);
-  }
-  return Value();
-}
-
 namespace {
 
 /// Dictionary-encodes `values` unless more than `max_distinct` of them are

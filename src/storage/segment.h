@@ -45,8 +45,36 @@ struct ColumnRun {
   const std::string* string_dict = nullptr;
   size_t dict_size = 0;
 
+  /// The value at run-local index `i` (i < length) as a slot of `type`; a
+  /// string slot points into the run's payload or dictionary.
+  ValueSlot SlotAt(size_t i) const {
+    CQA_DCHECK(i < length);
+    ValueSlot slot{};
+    if (encoding == SegmentEncoding::kDictionary) {
+      CQA_DCHECK(codes[i] < dict_size);
+      if (type == ValueType::kInt) {
+        slot.i = int_dict[codes[i]];
+      } else {
+        slot.s = &string_dict[codes[i]];
+      }
+      return slot;
+    }
+    switch (type) {
+      case ValueType::kInt:
+        slot.i = ints[i];
+        break;
+      case ValueType::kDouble:
+        slot.d = doubles[i];
+        break;
+      case ValueType::kString:
+        slot.s = &strings[i];
+        break;
+    }
+    return slot;
+  }
+
   /// Materializes the value at run-local index `i` (i < length).
-  Value ValueAt(size_t i) const;
+  Value ValueAt(size_t i) const { return SlotValue(type, SlotAt(i)); }
 };
 
 /// One column of one sealed chunk. Construction goes through the Seal*

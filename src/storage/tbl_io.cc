@@ -23,24 +23,19 @@ bool Fail(std::string* error, const std::string& message) {
 /// Value (dictionary runs read the dict entry in place).
 bool AppendRunField(const ColumnRun& run, size_t i, std::string* line,
                     std::string* error) {
+  const ValueSlot slot = run.SlotAt(i);
   switch (run.type) {
-    case ValueType::kInt: {
-      int64_t v = run.encoding == SegmentEncoding::kDictionary
-                      ? run.int_dict[run.codes[i]]
-                      : run.ints[i];
-      line->append(std::to_string(v));
+    case ValueType::kInt:
+      line->append(std::to_string(slot.i));
       break;
-    }
     case ValueType::kDouble: {
       char buf[64];
-      std::snprintf(buf, sizeof(buf), "%.17g", run.doubles[i]);
+      std::snprintf(buf, sizeof(buf), "%.17g", slot.d);
       line->append(buf);
       break;
     }
     case ValueType::kString: {
-      const std::string& s = run.encoding == SegmentEncoding::kDictionary
-                                 ? run.string_dict[run.codes[i]]
-                                 : run.strings[i];
+      const std::string& s = *slot.s;
       if (s.find('|') != std::string::npos ||
           s.find('\n') != std::string::npos) {
         return Fail(error, "string value contains '|' or newline: " + s);

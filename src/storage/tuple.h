@@ -1,7 +1,7 @@
 // Row-view tuples: the materialized form of a fact. Storage itself is
-// columnar (storage/relation.h); a Tuple is what Relation::row() and the
-// compatibility adapters hand to samplers, repairs and tests, and what
-// Insert accepts on the way in.
+// columnar (storage/relation.h); a Tuple is what Insert accepts on the way
+// in and what Relation::row() and Database::FactTuple hand back. Grouping
+// never builds one: storage/key_groups.h compares typed slots.
 #ifndef CQABENCH_STORAGE_TUPLE_H_
 #define CQABENCH_STORAGE_TUPLE_H_
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 #include <string>
 
@@ -9,8 +10,10 @@
 #include "cqa/preprocess.h"
 #include "cqa/rewriting.h"
 #include "obs/metrics.h"
+#include "query/evaluator.h"
 #include "query/parser.h"
 #include "storage/audit.h"
+#include "storage/key_groups.h"
 #include "test_util.h"
 
 namespace cqa {
@@ -60,8 +63,9 @@ TEST(BlockIndexTest, AppendixCAnnotations) {
 
 // --- Every grouping path against a naive map oracle ---------------------
 
-/// One relation per grouping path Build can take; each gets a value
-/// column so facts that share a key differ.
+/// One relation per key shape; each gets a value column so facts that
+/// share a key differ. Ascending all-int keys take the sorted path, the
+/// rest the grouping kernel.
 enum Shape {
   kIntShuffled,     // Single int key, each value twice, shuffled.
   kIntAscending,    // Single int key, strictly ascending: sorted path.
@@ -75,17 +79,20 @@ enum Shape {
   kString,          // Single string key: dictionary and plain chunks.
   kIntPairAscending,
   kIntPairShuffled,
-  kThreeColumnKey,  // (int, string, int): tuple-keyed grouping.
+  kIntTripleAscending,  // Three int columns, as inventory's key; the first
+                        // repeats across chunk boundaries.
+  kIntTripleShuffled,   // Three int columns, each key twice, shuffled.
+  kThreeColumnKey,  // (int, string, int).
   kKeyless,         // Whole tuple is the key; duplicate facts share one.
   kNumShapes,
 };
 
 const char* ShapeName(size_t shape) {
   static const char* const kNames[] = {
-      "int_shuffled",       "int_ascending",     "int_last_swapped",
-      "int_last_repeated",  "int_all_equal",     "string",
-      "int_pair_ascending", "int_pair_shuffled", "three_column_key",
-      "keyless"};
+      "int_shuffled",         "int_ascending",       "int_last_swapped",
+      "int_last_repeated",    "int_all_equal",       "string",
+      "int_pair_ascending",   "int_pair_shuffled",   "int_triple_ascending",
+      "int_triple_shuffled",  "three_column_key",    "keyless"};
   return kNames[shape];
 }
 
@@ -105,6 +112,11 @@ Schema MakeShapeSchema() {
       case kIntPairShuffled:
         attrs = {{"a", kInt}, {"b", kInt}, {"v", kInt}};
         key = {0, 1};
+        break;
+      case kIntTripleAscending:
+      case kIntTripleShuffled:
+        attrs = {{"a", kInt}, {"b", kInt}, {"c", kInt}, {"v", kInt}};
+        key = {0, 1, 2};
         break;
       case kThreeColumnKey:
         attrs = {{"a", kInt}, {"s", kStr}, {"b", kInt}, {"v", kInt}};
@@ -149,6 +161,10 @@ void FillShapes(Database* db, size_t n, Rng& rng) {
     db->Insert(kString, {Value(key), Value(r)});
     db->Insert(kIntPairAscending, {Value(r / 3), Value(r % 3), Value(r)});
     db->Insert(kIntPairShuffled, {Value(x / 4), Value(x % 2), Value(r)});
+    db->Insert(kIntTripleAscending,
+               {Value(r / 3), Value(r % 3 / 2), Value(r % 3 % 2), Value(r)});
+    db->Insert(kIntTripleShuffled,
+               {Value(x / 8), Value(x % 2), Value(x / 2 % 2), Value(r)});
     db->Insert(kThreeColumnKey,
                {Value(x % 10), Value("s" + std::to_string(x % 7)),
                 Value(x / 70), Value(r)});
@@ -156,21 +172,34 @@ void FillShapes(Database* db, size_t n, Rng& rng) {
   }
 }
 
+/// The positions a relation's blocks group by: its key, or every column.
+std::vector<size_t> GroupingPositions(const RelationSchema& rs) {
+  if (rs.has_key()) return rs.key_positions();
+  std::vector<size_t> all;
+  for (size_t pos = 0; pos < rs.arity(); ++pos) all.push_back(pos);
+  return all;
+}
+
 /// The naive oracle: rows grouped by key tuple in a std::map, block ids
 /// in first-appearance order, tuple ids in row order within a block.
 struct Oracle {
   explicit Oracle(const Relation& rel) {
+    const std::vector<size_t> positions = GroupingPositions(rel.schema());
     std::map<Tuple, size_t> block_of_key;
     for (size_t row = 0; row < rel.size(); ++row) {
-      auto [it, inserted] =
-          block_of_key.emplace(rel.KeyOf(row), blocks.size());
-      if (inserted) blocks.emplace_back();
+      auto [it, inserted] = block_of_key.emplace(
+          ProjectTuple(rel.row(row), positions), blocks.size());
+      if (inserted) {
+        blocks.emplace_back();
+        keys.push_back(it->first);
+      }
       block_of.push_back(it->second);
       tid_of.push_back(blocks[it->second].size());
       blocks[it->second].push_back(row);
     }
   }
   std::vector<std::vector<size_t>> blocks;
+  std::vector<Tuple> keys;  // Per block.
   std::vector<size_t> block_of;
   std::vector<size_t> tid_of;
 };
@@ -191,6 +220,21 @@ void ExpectMatchesOracle(const Relation& rel) {
     ASSERT_EQ(ann.tuple_id, oracle.tid_of[row]) << "row " << row;
     ASSERT_EQ(ann.block_size, oracle.blocks[ann.block_id].size())
         << "row " << row;
+  }
+  // The kernel groups the same way on inputs the sorted path takes, and
+  // the join index on the same positions finds each block by its key.
+  const std::vector<size_t> positions = GroupingPositions(rel.schema());
+  const KeyGroups groups =
+      KeyGroups::Build(rel, positions, KeyGroups::NanRows::kOwnGroup);
+  ASSERT_EQ(groups.NumGroups(), oracle.blocks.size());
+  for (size_t bid = 0; bid < oracle.blocks.size(); ++bid) {
+    ASSERT_EQ(Rows(groups.group(bid)), oracle.blocks[bid]) << "group " << bid;
+  }
+  const RelationIndex join = RelationIndex::Build(rel, positions);
+  ASSERT_EQ(join.NumKeys(), oracle.blocks.size());
+  for (size_t bid = 0; bid < oracle.blocks.size(); ++bid) {
+    ASSERT_EQ(Rows(join.Lookup(oracle.keys[bid])), oracle.blocks[bid])
+        << "block " << bid;
   }
 }
 
@@ -217,6 +261,49 @@ TEST(BlockIndexTest, EveryGroupingPathMatchesMapOracle) {
       EXPECT_TRUE(audit::CheckBlockPartition(db, *db.block_index(), &why))
           << why;
     }
+  }
+}
+
+// Double keys keep Value equality: 0.0 and -0.0 share a block, each
+// NaN-keyed row is a block of its own, and block ids follow first
+// appearance, whether every row is sealed or the last ones sit in the
+// tail. One relation is keyless (the whole tuple groups), one keyed.
+TEST(BlockIndexTest, DoubleKeysFollowValueEquality) {
+  const double nan = std::nan("");
+  const std::vector<double> keys = {0.0, nan, -0.0, nan, 1.5, 0.0, 1.5};
+  const std::vector<std::vector<size_t>> want = {{0, 2, 5}, {1}, {3}, {4, 6}};
+  Schema schema;
+  schema.AddRelation(RelationSchema(
+      "keyless", {{"x", ValueType::kDouble}, {"y", ValueType::kInt}}));
+  schema.AddRelation(RelationSchema(
+      "keyed", {{"k", ValueType::kDouble}, {"v", ValueType::kInt}}, {0}));
+  for (size_t sealed : {keys.size(), size_t{4}}) {
+    SCOPED_TRACE(std::to_string(sealed) + " rows sealed");
+    Database db(&schema);
+    for (size_t row = 0; row < keys.size(); ++row) {
+      db.Insert("keyless", {Value(keys[row]), Value(keys[row] == 1.5 ? 2 : 1)});
+      db.Insert("keyed", {Value(keys[row]), Value(static_cast<int>(row))});
+      if (row + 1 == sealed) db.SealStorage();
+    }
+    for (size_t rid = 0; rid < 2; ++rid) {
+      SCOPED_TRACE(schema.relation(rid).name());
+      EXPECT_EQ(db.relation(rid).tail_rows(), keys.size() - sealed);
+      const RelationBlockIndex index =
+          RelationBlockIndex::Build(db.relation(rid));
+      ASSERT_EQ(index.NumBlocks(), want.size());
+      for (size_t bid = 0; bid < want.size(); ++bid) {
+        EXPECT_EQ(Rows(index.block(bid)), want[bid]) << "block " << bid;
+        for (size_t tid = 0; tid < want[bid].size(); ++tid) {
+          const BlockAnnotation ann = index.annotation(want[bid][tid]);
+          EXPECT_EQ(ann.block_id, bid);
+          EXPECT_EQ(ann.tuple_id, tid);
+          EXPECT_EQ(ann.block_size, want[bid].size());
+        }
+      }
+    }
+    std::string why;
+    EXPECT_TRUE(audit::CheckBlockPartition(db, *db.block_index(), &why))
+        << why;
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "test_util.h"
@@ -29,22 +31,6 @@ TEST(TupleTest, HashConsistentWithEquality) {
   Tuple a{Value(1), Value("x")};
   Tuple b{Value(1), Value("x")};
   EXPECT_EQ(h(a), h(b));
-}
-
-TEST(RelationTest, InsertAndKeyOf) {
-  EmployeeFixture fx;
-  const Relation& rel = fx.db->relation("employee");
-  EXPECT_EQ(rel.size(), 4u);
-  EXPECT_EQ(rel.KeyOf(0), (Tuple{Value(1)}));
-  EXPECT_EQ(rel.KeyOf(3), (Tuple{Value(2)}));
-}
-
-TEST(RelationTest, KeyOfWithoutKeyIsWholeTuple) {
-  Schema schema;
-  schema.AddRelation(RelationSchema("log", {{"msg", ValueType::kString}}));
-  Database db(&schema);
-  db.Insert("log", {Value("hello")});
-  EXPECT_EQ(db.relation("log").KeyOf(0), (Tuple{Value("hello")}));
 }
 
 // Insert stages a row on the stack up to 32 fields and on the heap
@@ -165,6 +151,34 @@ TEST(DatabaseTest, KeyViolationDetection) {
   EXPECT_EQ(v.size(), 2u);
   EXPECT_EQ(v[0].first.row, 0u);
   EXPECT_EQ(v[0].second.row, 1u);
+}
+
+// Violations come in row order, each later row against the first row of
+// its key: a three-row block pairs both later rows with its first, ±0 are
+// one key, a repeat of the first fact is no violation, and a NaN key
+// conflicts with nothing, not even another NaN.
+TEST(DatabaseTest, ViolationsFollowRowOrderAgainstEachKeysFirstRow) {
+  Schema schema;
+  schema.AddRelation(RelationSchema(
+      "r", {{"k", ValueType::kDouble}, {"v", ValueType::kInt}}, {0}));
+  Database db(&schema);
+  const double nan = std::nan("");
+  for (const auto& [k, v] : std::vector<std::pair<double, int>>{
+           {1.0, 10}, {2.0, 20}, {1.0, 11}, {nan, 30}, {2.0, 21},
+           {1.0, 12}, {nan, 31}, {2.0, 20}, {-0.0, 40}, {0.0, 41}}) {
+    db.Insert("r", {Value(k), Value(v)});
+  }
+  std::vector<std::pair<size_t, size_t>> got;
+  for (const KeyViolation& v : db.FindKeyViolations()) {
+    EXPECT_EQ(v.first.relation_id, 0u);
+    EXPECT_EQ(v.second.relation_id, 0u);
+    got.emplace_back(v.first.row, v.second.row);
+  }
+  const std::vector<std::pair<size_t, size_t>> want = {
+      {0, 2}, {1, 4}, {0, 5}, {8, 9}};
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(db.FindKeyViolations(3).size(), 3u);
+  EXPECT_EQ(db.FindKeyViolations(3).back().second.row, 5u);
 }
 
 TEST(DatabaseTest, ViolationLimitStopsEarly) {

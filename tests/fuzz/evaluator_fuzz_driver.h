@@ -16,6 +16,7 @@
 
 #include "query/evaluator.h"
 #include "reference_evaluator.h"
+#include "storage/block_index.h"
 
 namespace cqa::fuzz {
 
@@ -52,6 +53,49 @@ inline Value DecodeValue(ValueType type, uint8_t b) {
   return Value();
 }
 
+/// Checks each relation's block index against a pairwise oracle: the
+/// relations have no key, so two rows share a block iff their tuples are
+/// equal as Values (±0 equal, a NaN equal to nothing), block ids follow
+/// first appearance and tuple ids row order. Returns a diagnostic, empty
+/// when every relation agrees.
+inline std::string DiffBlockIndexes(const Database& db) {
+  for (size_t rid = 0; rid < db.NumRelations(); ++rid) {
+    const Relation& rel = db.relation(rid);
+    const RelationBlockIndex index = RelationBlockIndex::Build(rel);
+    std::vector<Tuple> rows;
+    std::vector<size_t> block_of;
+    std::vector<size_t> sizes;  // Per oracle block.
+    for (size_t row = 0; row < rel.size(); ++row) {
+      rows.push_back(rel.row(row));
+      size_t first = 0;
+      while (first < row && rows[first] != rows[row]) ++first;
+      block_of.push_back(first < row ? block_of[first] : sizes.size());
+      if (first == row) sizes.push_back(0);
+      const BlockAnnotation ann = index.annotation(row);
+      if (ann.block_id != block_of[row] ||
+          ann.tuple_id != sizes[block_of[row]]++) {
+        return "relation " + std::to_string(rid) + " row " +
+               std::to_string(row) + ": block " +
+               std::to_string(ann.block_id) + " tid " +
+               std::to_string(ann.tuple_id) + ", oracle block " +
+               std::to_string(block_of[row]);
+      }
+    }
+    if (index.NumBlocks() != sizes.size()) {
+      return "relation " + std::to_string(rid) + ": " +
+             std::to_string(index.NumBlocks()) + " blocks, oracle " +
+             std::to_string(sizes.size());
+    }
+    for (size_t row = 0; row < rel.size(); ++row) {
+      if (index.annotation(row).block_size != sizes[block_of[row]]) {
+        return "relation " + std::to_string(rid) + " row " +
+               std::to_string(row) + ": wrong block size";
+      }
+    }
+  }
+  return "";
+}
+
 /// Decodes one input into a small typed instance and a query and runs
 /// both evaluators on it. Layout, byte by byte (missing bytes read 0):
 ///   storage mode (low 2 bits: tail only, sealed, sealed then a tail,
@@ -61,10 +105,12 @@ inline Value DecodeValue(ValueType type, uint8_t b) {
 ///   per term one byte t: t % 5 == 0 makes a constant of type (t / 5) % 3
 ///   whose value is the next byte, else variable t % 4; last, a bit mask
 ///   of the variables in the head (empty: a Boolean query).
-/// The contract under fuzzing: CqEvaluator and the reference loop produce
-/// the same homomorphism sequence, or both stop at kEvaluatorFuzzLimit
-/// (testing::DiffEvaluators). A difference aborts with a diagnostic,
-/// which libFuzzer and gtest both report with the offending input.
+/// The contract under fuzzing: every relation's block index matches the
+/// pairwise oracle (DiffBlockIndexes), and CqEvaluator and the reference
+/// loop produce the same homomorphism sequence, or both stop at
+/// kEvaluatorFuzzLimit (testing::DiffEvaluators). A difference aborts with
+/// a diagnostic, which libFuzzer and gtest both report with the offending
+/// input.
 /// Returns whether the query had a homomorphism.
 inline bool EvaluatorInput(const uint8_t* data, size_t size) {
   ByteReader in(data, size);
@@ -102,6 +148,11 @@ inline bool EvaluatorInput(const uint8_t* data, size_t size) {
   if (mode != 0) db.SealStorage();
   insert(false);
   if (mode == 3) db.SealStorage();
+  const std::string blocks = DiffBlockIndexes(db);
+  if (!blocks.empty()) {
+    std::fprintf(stderr, "block index disagrees: %s\n", blocks.c_str());
+    std::abort();
+  }
 
   ConjunctiveQuery q;
   std::vector<size_t> ids(4, SIZE_MAX);  // Variable t % 4 -> dense id.

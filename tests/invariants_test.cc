@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <vector>
 
@@ -264,6 +265,52 @@ TEST(InvariantsTest, StaleBlockIndexIsRejected) {
   std::string why;
   EXPECT_FALSE(audit::CheckBlockPartition(*fx.db, index, &why));
   EXPECT_NE(why.find("cover"), std::string::npos) << why;
+}
+
+/// Audits an index built over one relation r(k double, v int), keyed on
+/// k, against another database of the same size whose keys are
+/// `audited_keys`; returns the audit's diagnostic, empty if it passed.
+std::string AuditIndexOfOtherKeys(const std::vector<double>& built_keys,
+                                  const std::vector<double>& audited_keys) {
+  Schema schema;
+  schema.AddRelation(RelationSchema(
+      "r", {{"k", ValueType::kDouble}, {"v", ValueType::kInt}}, {0}));
+  Database built(&schema);
+  Database audited(&schema);
+  for (size_t row = 0; row < built_keys.size(); ++row) {
+    const int v = static_cast<int>(row);
+    built.Insert("r", {Value(built_keys[row]), Value(v)});
+    audited.Insert("r", {Value(audited_keys[row]), Value(v)});
+  }
+  std::string why;
+  EXPECT_TRUE(audit::CheckBlockPartition(built, BlockIndex::Build(built),
+                                         &why))
+      << why;
+  why.clear();
+  audit::CheckBlockPartition(audited, BlockIndex::Build(built), &why);
+  return why;
+}
+
+TEST(InvariantsTest, BlockWhoseRowsDifferOnTheKeyIsRejected) {
+  EXPECT_NE(AuditIndexOfOtherKeys({1, 1, 2}, {1, 2, 2})
+                .find("differs on the key"),
+            std::string::npos);
+  // NaN equals no key, not even another NaN.
+  const double nan = std::nan("");
+  EXPECT_NE(AuditIndexOfOtherKeys({1.5, 1.5}, {nan, nan})
+                .find("differs on the key"),
+            std::string::npos);
+}
+
+TEST(InvariantsTest, BlocksSharingAKeyAreRejected) {
+  EXPECT_NE(AuditIndexOfOtherKeys({1, 2, 3}, {1, 1, 3})
+                .find("key of an earlier block"),
+            std::string::npos);
+  // 0.0 and -0.0 are one key.
+  const double nan = std::nan("");
+  EXPECT_NE(AuditIndexOfOtherKeys({nan, nan}, {0.0, -0.0})
+                .find("key of an earlier block"),
+            std::string::npos);
 }
 
 TEST(InvariantsTest, RepairSelectionsPassAndCorruptionsFail) {

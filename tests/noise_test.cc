@@ -114,7 +114,10 @@ TEST(NoiseTest, NoDuplicateFactsInserted) {
 
 TEST(NoiseTest, OriginalFactsAreKept) {
   SimpleFixture fx;
-  std::vector<Tuple> original = fx.db->relation("r").rows();
+  std::vector<Tuple> original;
+  for (size_t row = 0; row < fx.db->relation("r").size(); ++row) {
+    original.push_back(fx.db->relation("r").row(row));
+  }
   ConjunctiveQuery q = MustParseCq(fx.schema, "Q(K) :- r(K, V).");
   Rng rng(6);
   NoiseOptions options;

@@ -113,8 +113,12 @@ TEST_F(TblIoTest, TpchRoundTrip) {
   ASSERT_TRUE(ReadTblDirectory(&loaded, dir_.string(), &error)) << error;
   EXPECT_EQ(loaded.NumFacts(), d.db->NumFacts());
   EXPECT_TRUE(loaded.SatisfiesKeys());
-  EXPECT_EQ(loaded.relation("lineitem").rows(),
-            d.db->relation("lineitem").rows());
+  const Relation& got = loaded.relation("lineitem");
+  const Relation& want = d.db->relation("lineitem");
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t row = 0; row < want.size(); ++row) {
+    ASSERT_EQ(got.row(row), want.row(row)) << "row " << row;
+  }
 }
 
 TEST_F(TblIoTest, RejectsStringsWithSeparator) {
