@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/stopwatch.h"
@@ -42,72 +43,54 @@ CqaRunResult ApxCqaOnSynopses(const PreprocessResult& preprocessed,
   Stopwatch watch;
   const std::vector<AnswerSynopsis>& answers = preprocessed.answers();
 
-  if (params.num_threads > 1 && answers.size() > 1) {
-    // Batch evaluation parallelizes across answers instead of inside each
-    // estimate: answers are independent, so this spreads whole runs over
-    // the persistent pool with zero hot-path synchronization. Each answer
-    // runs the scheme single-threaded on its own forked RNG stream
-    // (seeds drawn sequentially up front for determinism).
+  // One outcome per answer; an answer left empty never ran. With threads
+  // and answers to spare, whole answer runs spread over the persistent
+  // pool, each single-threaded on a stream forked up front (answers are
+  // independent, so no hot-path synchronization). Otherwise the answers
+  // run in order on `rng`, each scheme run getting all the threads, and
+  // the first timeout ends the phase.
+  std::vector<std::optional<ApxResult>> outcomes(answers.size());
+  const size_t width =
+      answers.size() > 1 ? std::min(params.num_threads, answers.size()) : 1;
+  if (width > 1) {
     ApxParams inner = params;
     inner.num_threads = 1;
-    size_t width = std::min(params.num_threads, answers.size());
     ThreadPool& pool = ThreadPool::Shared();
     size_t spawned = pool.EnsureWorkers(width - 1);
     CQA_OBS_COUNT_N("apx_cqa.workers_launched", spawned);
     if (spawned == 0) CQA_OBS_COUNT("apx_cqa.pool_reuses");
     std::vector<uint64_t> seeds(answers.size());
     for (uint64_t& seed : seeds) seed = rng.ForkSeed();
-    std::vector<ApxResult> outcomes(answers.size());
-    std::vector<uint8_t> ran(answers.size(), 0);
     pool.Run(answers.size(), [&](size_t idx) {
-      if (deadline.Expired()) return;  // Left as "not run" -> timeout.
+      if (deadline.Expired()) return;
       Rng answer_rng(seeds[idx]);
       outcomes[idx] =
           apx->Run(answers[idx].synopsis, inner, answer_rng, deadline);
-      ran[idx] = 1;
     });
-    // Fold in answer order so timeout semantics match the serial loop:
-    // the first answer that timed out (or never ran) is accumulated and
-    // every later one is dropped.
-    for (size_t idx = 0; idx < answers.size(); ++idx) {
-      if (!ran[idx]) {
-        result.timed_out = true;
-        break;
-      }
-      ApxResult& apx_result = outcomes[idx];
-      // Each answer ran single-threaded; attribute its counts to a worker
-      // lane (answers round-robin over the pool width) so the aggregated
-      // per_thread_samples still reports the parallel split.
-      if (!apx_result.per_thread_samples.empty()) {
-        std::vector<size_t> lanes(width, 0);
-        for (size_t s : apx_result.per_thread_samples) {
-          lanes[idx % width] += s;
-        }
-        apx_result.per_thread_samples = std::move(lanes);
-      }
-      Accumulate(&result, apx_result);
-      for (obs::ConvergenceSeries& series : apx_result.convergence) {
-        result.convergence.push_back(std::move(series));
-      }
-      apx_result.convergence.clear();
-      if (apx_result.timed_out) {
-        result.timed_out = true;
-        break;
-      }
-      result.answers.push_back(CqaAnswer{answers[idx].answer,
-                                         apx_result.estimate,
-                                         std::move(apx_result)});
+  } else {
+    for (size_t idx = 0; idx < answers.size() && !deadline.Expired(); ++idx) {
+      outcomes[idx] = apx->Run(answers[idx].synopsis, params, rng, deadline);
+      if (outcomes[idx]->timed_out) break;
     }
-    result.scheme_seconds = watch.ElapsedSeconds();
-    return result;
   }
 
-  for (const AnswerSynopsis& as : answers) {
-    if (deadline.Expired()) {
+  // Fold in answer order: the first answer that timed out is accumulated
+  // and every later one is dropped, as is everything from the first
+  // answer that never ran.
+  for (size_t idx = 0; idx < answers.size(); ++idx) {
+    if (!outcomes[idx]) {
       result.timed_out = true;
       break;
     }
-    ApxResult apx_result = apx->Run(as.synopsis, params, rng, deadline);
+    ApxResult& apx_result = *outcomes[idx];
+    // A pooled answer ran on one thread; attribute its count to a worker
+    // lane (answers round-robin over the pool width) so the aggregated
+    // per_thread_samples still reports the parallel split.
+    if (width > 1 && !apx_result.per_thread_samples.empty()) {
+      std::vector<size_t> lanes(width, 0);
+      for (size_t s : apx_result.per_thread_samples) lanes[idx % width] += s;
+      apx_result.per_thread_samples = std::move(lanes);
+    }
     Accumulate(&result, apx_result);
     for (obs::ConvergenceSeries& series : apx_result.convergence) {
       result.convergence.push_back(std::move(series));
@@ -117,8 +100,9 @@ CqaRunResult ApxCqaOnSynopses(const PreprocessResult& preprocessed,
       result.timed_out = true;
       break;
     }
-    result.answers.push_back(
-        CqaAnswer{as.answer, apx_result.estimate, std::move(apx_result)});
+    result.answers.push_back(CqaAnswer{answers[idx].answer,
+                                       apx_result.estimate,
+                                       std::move(apx_result)});
   }
   result.scheme_seconds = watch.ElapsedSeconds();
   return result;

@@ -63,13 +63,6 @@ double IndexedNaturalSampler::TableDraw(Rng& rng) {
   return mask != ConflictWorldTable::kFilled ? 1.0 : 0.0;
 }
 
-double IndexedNaturalSampler::Draw(Rng& rng) {
-  CQA_OBS_COUNT("sampler.indexed_natural.draws");
-  double v = table_ ? TableDraw(rng) : DrawImpl(rng);
-  if (v == 1.0) CQA_OBS_COUNT("sampler.indexed_natural.hits");
-  return v;
-}
-
 void IndexedNaturalSampler::DrawBatch(Rng& rng, size_t n, double* out) {
   if (table_) {
     FillBatch(n, out, [&] { return TableDraw(rng); });

@@ -42,13 +42,12 @@ class IndexedNaturalSampler : public Sampler {
   /// The synopsis must be non-empty and outlive the sampler.
   explicit IndexedNaturalSampler(const Synopsis* synopsis);
 
-  double Draw(Rng& rng) override;
   void DrawBatch(Rng& rng, size_t n, double* out) override;
   double GoodnessFactor() const override { return 1.0; }
   const char* name() const override { return "SampleNatural/indexed"; }
 
  private:
-  /// One draw without obs accounting (shared by Draw and DrawBatch).
+  /// One draw through the image index, without obs accounting.
   double DrawImpl(Rng& rng);
   /// DrawImpl through the conflict-world table.
   double TableDraw(Rng& rng);

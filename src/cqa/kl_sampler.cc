@@ -40,13 +40,6 @@ double KlSampler::TableDraw(Rng& rng) {
   return static_cast<size_t>(std::countr_zero(mask)) == i ? 1.0 : 0.0;
 }
 
-double KlSampler::Draw(Rng& rng) {
-  CQA_OBS_COUNT("sampler.kl.draws");
-  double v = table_ ? TableDraw(rng) : DrawImpl(rng);
-  if (v == 1.0) CQA_OBS_COUNT("sampler.kl.accepts");
-  return v;
-}
-
 void KlSampler::DrawBatch(Rng& rng, size_t n, double* out) {
   if (table_) {
     FillBatch(n, out, [&] { return TableDraw(rng); });

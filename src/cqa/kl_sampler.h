@@ -35,7 +35,6 @@ class KlSampler : public Sampler {
   /// The space (and its synopsis) must outlive the sampler.
   explicit KlSampler(const SymbolicSpace* space);
 
-  double Draw(Rng& rng) override;
   void DrawBatch(Rng& rng, size_t n, double* out) override;
   double GoodnessFactor() const override {
     return 1.0 / space_->total_weight();
@@ -43,7 +42,7 @@ class KlSampler : public Sampler {
   const char* name() const override { return "SampleKL"; }
 
  private:
-  /// One draw without obs accounting (shared by Draw and DrawBatch).
+  /// One draw through the image index, without obs accounting.
   double DrawImpl(Rng& rng);
   /// DrawImpl through the conflict-world table.
   double TableDraw(Rng& rng);

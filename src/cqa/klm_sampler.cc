@@ -40,15 +40,6 @@ double KlmSampler::TableDraw(Rng& rng, size_t* witnesses) {
   return 1.0 / static_cast<double>(k);
 }
 
-double KlmSampler::Draw(Rng& rng) {
-  CQA_OBS_COUNT("sampler.klm.draws");
-  size_t witnesses = 0;
-  double v = table_ ? TableDraw(rng, &witnesses) : DrawImpl(rng, &witnesses);
-  // k = images covering the drawn database (always >= 1 for KLM).
-  CQA_OBS_COUNT_N("sampler.klm.accepts", witnesses);
-  return v;
-}
-
 void KlmSampler::DrawBatch(Rng& rng, size_t n, double* out) {
   size_t witnesses = 0;
   if (table_) {

@@ -34,7 +34,6 @@ class KlmSampler : public Sampler {
   /// The space (and its synopsis) must outlive the sampler.
   explicit KlmSampler(const SymbolicSpace* space);
 
-  double Draw(Rng& rng) override;
   void DrawBatch(Rng& rng, size_t n, double* out) override;
   double GoodnessFactor() const override {
     return 1.0 / space_->total_weight();

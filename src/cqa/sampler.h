@@ -1,7 +1,7 @@
 // The Sampler interface: an r-good randomized procedure Sample((H, B))
-// in [0, 1]. Draw state is per-instance scratch -- samplers are not
-// thread-safe; every worker owns its own instance over the shared
-// immutable Synopsis.
+// in [0, 1], drawn in batches through one virtual call. Draw state is
+// per-instance scratch -- samplers are not thread-safe; every worker owns
+// its own instance over the shared immutable Synopsis.
 #ifndef CQABENCH_CQA_SAMPLER_H_
 #define CQABENCH_CQA_SAMPLER_H_
 
@@ -17,23 +17,24 @@ namespace cqa {
 /// computable in polynomial time. A scheme recovers the relative frequency
 /// as (Monte Carlo mean) / GoodnessFactor().
 ///
-/// Draw() may use internal scratch buffers and is not thread-safe; each
+/// Drawing may use internal scratch buffers and is not thread-safe; each
 /// worker should own its sampler.
 class Sampler {
  public:
   virtual ~Sampler() = default;
 
-  /// Draws one sample in [0, 1].
-  virtual double Draw(Rng& rng) = 0;
+  /// Draws n samples in [0, 1] into out[0, n): the one virtual draw. A
+  /// batch consumes the RNG stream exactly as n successive single draws
+  /// would, so runs are seed-for-seed reproducible at every batch size.
+  /// Virtual dispatch and obs accounting are paid once per batch; the
+  /// estimator loops call it with blocks of ~256.
+  virtual void DrawBatch(Rng& rng, size_t n, double* out) = 0;
 
-  /// Draws n samples into out[0, n). Semantically identical to calling
-  /// Draw(rng) n times — overrides MUST consume the RNG stream exactly
-  /// as n successive Draw calls would, so batch and serial runs are
-  /// seed-for-seed reproducible. The hot samplers override this to pay
-  /// virtual dispatch and obs accounting once per batch instead of once
-  /// per draw; the estimator loops call it with blocks of ~256.
-  virtual void DrawBatch(Rng& rng, size_t n, double* out) {
-    for (size_t k = 0; k < n; ++k) out[k] = Draw(rng);
+  /// Draws one sample in [0, 1]: a batch of one.
+  double Draw(Rng& rng) {
+    double v;
+    DrawBatch(rng, 1, &v);
+    return v;
   }
 
   /// The factor r such that E[Draw] = R(H, B) · r.

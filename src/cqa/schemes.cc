@@ -6,7 +6,6 @@
 #include "cqa/klm_sampler.h"
 #include "cqa/indexed_natural_sampler.h"
 #include "cqa/monte_carlo.h"
-#include "cqa/parallel.h"
 #include "cqa/symbolic_space.h"
 
 namespace cqa {
@@ -41,17 +40,6 @@ const std::vector<SchemeKind>& AllSchemeKinds() {
 
 namespace {
 
-/// Copies the phase breakdown of a Monte Carlo run into an ApxResult.
-void FillFromMonteCarlo(ApxResult* result, MonteCarloResult&& mc) {
-  result->samples = mc.estimator_samples + mc.main_samples;
-  result->timed_out = mc.timed_out;
-  result->estimator_samples = mc.estimator_samples;
-  result->main_samples = mc.main_samples;
-  result->estimator_seconds = mc.estimator_seconds;
-  result->main_seconds = mc.main_seconds;
-  result->per_thread_samples = std::move(mc.per_thread_samples);
-}
-
 /// Optional pair of per-phase convergence recorders for a scheme run,
 /// constructed only when ApxParams::record_convergence asks for them.
 struct SchemeRecorders {
@@ -79,6 +67,29 @@ struct SchemeRecorders {
   std::unique_ptr<obs::ConvergenceRecorder> main;
 };
 
+/// The Monte Carlo schemes' one runner: MonteCarlo over the factory's
+/// samplers, the mean converted back to R(H, B) by `factor` — 1 for
+/// Natural, |S•|/|db(B)| for KL and KLM.
+ApxResult RunMonteCarlo(const SamplerFactory& factory, double factor,
+                        const ApxParams& params, Rng& rng,
+                        const Deadline& deadline) {
+  SchemeRecorders recorders(params);
+  MonteCarloResult mc = MonteCarloEstimate(
+      factory, params.num_threads, params.epsilon, params.delta, rng,
+      deadline, recorders.estimator.get(), recorders.main.get());
+  ApxResult result;
+  result.estimate = mc.estimate * factor;
+  result.samples = mc.estimator_samples + mc.main_samples;
+  result.timed_out = mc.timed_out;
+  result.estimator_samples = mc.estimator_samples;
+  result.main_samples = mc.main_samples;
+  result.estimator_seconds = mc.estimator_seconds;
+  result.main_seconds = mc.main_seconds;
+  result.per_thread_samples = std::move(mc.per_thread_samples);
+  recorders.Collect(&result);
+  return result;
+}
+
 /// Algorithm 3 (Natural): MonteCarlo over the natural space; 1-good.
 /// Runs on the inverted-index sampler — same distribution as the plain
 /// scan, but per-draw cost proportional to the images actually touched.
@@ -86,25 +97,10 @@ class NaturalScheme : public ApxRelativeFreqScheme {
  public:
   ApxResult Run(const Synopsis& synopsis, const ApxParams& params, Rng& rng,
                 const Deadline& deadline) const override {
-    ApxResult result;
-    if (synopsis.Empty()) return result;
-    SchemeRecorders recorders(params);
-    MonteCarloResult mc;
-    if (params.num_threads > 1) {
-      mc = ParallelMonteCarloEstimate(
-          [&] { return std::make_unique<IndexedNaturalSampler>(&synopsis); },
-          params.num_threads, params.epsilon, params.delta, rng, deadline,
-          recorders.estimator.get(), recorders.main.get());
-    } else {
-      IndexedNaturalSampler sampler(&synopsis);
-      mc = MonteCarloEstimate(sampler, params.epsilon, params.delta, rng,
-                              deadline, recorders.estimator.get(),
-                              recorders.main.get());
-    }
-    result.estimate = mc.estimate;  // GoodnessFactor() == 1.
-    FillFromMonteCarlo(&result, std::move(mc));
-    recorders.Collect(&result);
-    return result;
+    if (synopsis.Empty()) return ApxResult();
+    return RunMonteCarlo(
+        [&] { return std::make_unique<IndexedNaturalSampler>(&synopsis); },
+        1.0, params, rng, deadline);
   }
   SchemeKind kind() const override { return SchemeKind::kNatural; }
 };
@@ -116,26 +112,10 @@ class SymbolicScheme : public ApxRelativeFreqScheme {
  public:
   ApxResult Run(const Synopsis& synopsis, const ApxParams& params, Rng& rng,
                 const Deadline& deadline) const override {
-    ApxResult result;
-    if (synopsis.Empty()) return result;
+    if (synopsis.Empty()) return ApxResult();
     SymbolicSpace space(&synopsis);
-    SchemeRecorders recorders(params);
-    MonteCarloResult mc;
-    if (params.num_threads > 1) {
-      mc = ParallelMonteCarloEstimate(
-          [&] { return std::make_unique<SamplerT>(&space); },
-          params.num_threads, params.epsilon, params.delta, rng, deadline,
-          recorders.estimator.get(), recorders.main.get());
-    } else {
-      SamplerT sampler(&space);
-      mc = MonteCarloEstimate(sampler, params.epsilon, params.delta, rng,
-                              deadline, recorders.estimator.get(),
-                              recorders.main.get());
-    }
-    result.estimate = mc.estimate * space.total_weight();
-    FillFromMonteCarlo(&result, std::move(mc));
-    recorders.Collect(&result);
-    return result;
+    return RunMonteCarlo([&] { return std::make_unique<SamplerT>(&space); },
+                         space.total_weight(), params, rng, deadline);
   }
   SchemeKind kind() const override { return kKind; }
 };

@@ -1,6 +1,8 @@
-// The four approximation schemes for RelativeFreq (Natural, KL, KLM,
-// Cover) behind one interface, plus the (eps, delta) accuracy parameters
-// and scheme-name parsing shared by every binary.
+// The four approximation schemes for RelativeFreq behind one interface:
+// Natural, KL and KLM are one Monte Carlo runner over different samplers
+// and conversion factors, Cover is the coverage algorithm. Plus the
+// (eps, delta) accuracy parameters and scheme-name parsing shared by
+// every binary.
 #ifndef CQABENCH_CQA_SCHEMES_H_
 #define CQABENCH_CQA_SCHEMES_H_
 
@@ -36,8 +38,9 @@ struct ApxParams {
   /// Worker threads for the Monte Carlo main loop (the "parallel sampling
   /// phase" the paper's appendix proposes as future work). 1 = the
   /// paper's serial algorithms; >1 splits the optimal N across threads
-  /// with independent RNG streams. Cover is inherently sequential and
-  /// ignores this.
+  /// with independent RNG streams (MonteCarloEstimate). Cover is
+  /// inherently sequential and ignores this. ApxCqaOnSynopses spends the
+  /// threads across answers instead when there are several.
   size_t num_threads = 1;
   /// When true the scheme attaches ConvergenceRecorders to its sampling
   /// phases and returns the recorded series in ApxResult::convergence.

@@ -9,6 +9,8 @@
 #include <sys/utsname.h>
 #endif
 
+#include "common/json_escape.h"
+
 namespace cqa::obs {
 
 namespace {
@@ -17,35 +19,6 @@ void AppendDouble(std::string* out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   *out += buf;
-}
-
-void AppendEscapedString(std::string* out, const std::string& s) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
 }
 
 void AppendMeanStddev(std::string* out, const MeanVarAccumulator& acc) {
@@ -117,16 +90,17 @@ std::string BenchJsonWriter::ToJson() const {
   MutexLock lock(mu_);
   std::string out = "{\"bench_json_version\":";
   out += std::to_string(kBenchJsonVersion);
-  out += ",\"name\":";
-  AppendEscapedString(&out, metadata_.name);
-  out += ",\"git_sha\":";
-  AppendEscapedString(&out, BenchGitSha());
-  out += ",\"build\":";
+  out += ",\"name\":\"";
+  AppendJsonEscaped(&out, metadata_.name);
+  out += "\",\"git_sha\":\"";
+  AppendJsonEscaped(&out, BenchGitSha());
+  out += "\",\"build\":\"";
 #ifdef CQABENCH_BUILD_TYPE
-  AppendEscapedString(&out, CQABENCH_BUILD_TYPE);
+  AppendJsonEscaped(&out, CQABENCH_BUILD_TYPE);
 #else
-  AppendEscapedString(&out, "unknown");
+  AppendJsonEscaped(&out, "unknown");
 #endif
+  out += '"';
 #ifdef CQABENCH_NO_OBS
   out += ",\"no_obs\":true";
 #else
@@ -138,11 +112,11 @@ std::string BenchJsonWriter::ToJson() const {
 #if defined(__unix__) || defined(__APPLE__)
   struct utsname uts {};
   if (uname(&uts) == 0) {
-    out += "\"os\":";
-    AppendEscapedString(&out, uts.sysname);
-    out += ",\"machine\":";
-    AppendEscapedString(&out, uts.machine);
-    out += ",";
+    out += "\"os\":\"";
+    AppendJsonEscaped(&out, uts.sysname);
+    out += "\",\"machine\":\"";
+    AppendJsonEscaped(&out, uts.machine);
+    out += "\",";
   }
 #endif
   out += "\"hardware_concurrency\":" +
@@ -163,15 +137,15 @@ std::string BenchJsonWriter::ToJson() const {
   for (const auto& [key, cell] : cells_) {
     if (!first) out += ',';
     first = false;
-    out += "{\"scenario\":";
-    AppendEscapedString(&out, std::get<0>(key));
-    out += ",\"x_label\":";
-    AppendEscapedString(&out, cell.x_label);
-    out += ",\"x\":";
+    out += "{\"scenario\":\"";
+    AppendJsonEscaped(&out, std::get<0>(key));
+    out += "\",\"x_label\":\"";
+    AppendJsonEscaped(&out, cell.x_label);
+    out += "\",\"x\":";
     AppendDouble(&out, std::get<1>(key));
-    out += ",\"series\":";
-    AppendEscapedString(&out, std::get<2>(key));
-    out += ",\"runs\":" + std::to_string(cell.runs);
+    out += ",\"series\":\"";
+    AppendJsonEscaped(&out, std::get<2>(key));
+    out += "\",\"runs\":" + std::to_string(cell.runs);
     out += ",\"timeouts\":" + std::to_string(cell.timeouts);
     out += ",\"wall_seconds\":";
     AppendMeanStddev(&out, cell.wall_seconds);

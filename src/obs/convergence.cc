@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/json_escape.h"
+
 namespace cqa::obs {
 
 namespace {
@@ -11,35 +13,6 @@ void AppendDouble(std::string* out, double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.9g", v);
   *out += buf;
-}
-
-void AppendEscapedString(std::string* out, const std::string& s) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
 }
 
 /// First sample count at which the series was relatively ε-tight
@@ -115,9 +88,9 @@ ConvergenceSummary Summarize(const std::vector<ConvergenceSeries>& series) {
 }
 
 std::string ConvergenceSeriesToJson(const ConvergenceSeries& series) {
-  std::string out = "{\"phase\":";
-  AppendEscapedString(&out, series.phase);
-  out += ",\"epsilon\":";
+  std::string out = "{\"phase\":\"";
+  AppendJsonEscaped(&out, series.phase);
+  out += "\",\"epsilon\":";
   AppendDouble(&out, series.epsilon);
   out += ",\"delta\":";
   AppendDouble(&out, series.delta);
@@ -214,17 +187,17 @@ void ConvergenceReporter::Add(const std::string& scenario,
                               const std::string& scheme,
                               const ConvergenceSeries& series) {
   if (series.checkpoints.empty()) return;
-  std::string line = "{\"scenario\":";
-  AppendEscapedString(&line, scenario);
-  line += ",\"x_label\":";
-  AppendEscapedString(&line, x_label);
-  line += ",\"x\":";
+  std::string line = "{\"scenario\":\"";
+  AppendJsonEscaped(&line, scenario);
+  line += "\",\"x_label\":\"";
+  AppendJsonEscaped(&line, x_label);
+  line += "\",\"x\":";
   AppendDouble(&line, x);
-  line += ",\"scheme\":";
-  AppendEscapedString(&line, scheme);
+  line += ",\"scheme\":\"";
+  AppendJsonEscaped(&line, scheme);
   // Splice the series object's fields into this line's object.
   std::string series_json = ConvergenceSeriesToJson(series);
-  line += ',';
+  line += "\",";
   line.append(series_json, 1, series_json.size() - 1);
   line += '\n';
   MutexLock lock(mu_);

@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstdio>
 
+#include "common/json_escape.h"
+
 namespace cqa::obs {
 
 namespace {
@@ -13,33 +15,6 @@ size_t BucketIndex(uint64_t value) {
   if (value == 0) return 0;
   size_t b = 64 - static_cast<size_t>(__builtin_clzll(value));
   return b < Histogram::kNumBuckets ? b : Histogram::kNumBuckets - 1;
-}
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
 }
 
 void AppendDouble(std::string* out, double v) {
@@ -187,7 +162,7 @@ std::string Registry::ToJson() const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    AppendEscaped(&out, c.name);
+    AppendJsonEscaped(&out, c.name);
     out += "\":" + std::to_string(c.value);
   }
   out += "},\"gauges\":{";
@@ -196,7 +171,7 @@ std::string Registry::ToJson() const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    AppendEscaped(&out, g.name);
+    AppendJsonEscaped(&out, g.name);
     out += "\":" + std::to_string(g.value);
   }
   out += "},\"histograms\":{";
@@ -205,7 +180,7 @@ std::string Registry::ToJson() const {
     if (!first) out += ',';
     first = false;
     out += '"';
-    AppendEscaped(&out, h.name);
+    AppendJsonEscaped(&out, h.name);
     out += "\":{\"count\":" + std::to_string(h.count) +
            ",\"sum\":" + std::to_string(h.sum) +
            ",\"max\":" + std::to_string(h.max);

@@ -1,37 +1,10 @@
 #include "obs/report.h"
 
+#include "common/json_escape.h"
+
 namespace cqa::obs {
 
 namespace {
-
-void AppendEscapedString(std::string* out, const std::string& s) {
-  *out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-  *out += '"';
-}
 
 void AppendDouble(std::string* out, double v) {
   char buf[32];
@@ -42,15 +15,15 @@ void AppendDouble(std::string* out, double v) {
 }  // namespace
 
 std::string RunRecordToJson(const RunRecord& r) {
-  std::string out = "{\"scenario\":";
-  AppendEscapedString(&out, r.scenario);
-  out += ",\"x_label\":";
-  AppendEscapedString(&out, r.x_label);
-  out += ",\"x\":";
+  std::string out = "{\"scenario\":\"";
+  AppendJsonEscaped(&out, r.scenario);
+  out += "\",\"x_label\":\"";
+  AppendJsonEscaped(&out, r.x_label);
+  out += "\",\"x\":";
   AppendDouble(&out, r.x);
-  out += ",\"scheme\":";
-  AppendEscapedString(&out, r.scheme);
-  out += ",\"estimate\":";
+  out += ",\"scheme\":\"";
+  AppendJsonEscaped(&out, r.scheme);
+  out += "\",\"estimate\":";
   AppendDouble(&out, r.estimate);
   out += ",\"num_answers\":" + std::to_string(r.num_answers);
   out += ",\"estimator_samples\":" + std::to_string(r.estimator_samples);

@@ -5,6 +5,8 @@
 #include <functional>
 #include <thread>
 
+#include "common/json_escape.h"
+
 namespace cqa::obs {
 
 namespace {
@@ -27,36 +29,6 @@ uint32_t ThisThreadId() {
 
 #endif  // !CQABENCH_NO_OBS
 
-/// Escapes a client-supplied trace id for embedding in a JSON string.
-/// Span *names* are string literals (a lint rule enforces it), but the
-/// trace id arrives over the wire and must not be trusted.
-void AppendEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
 void AppendSpanJson(std::string* out, const SpanRecord& r) {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
@@ -68,7 +40,7 @@ void AppendSpanJson(std::string* out, const SpanRecord& r) {
   *out += buf;
   if (!r.trace_id.empty()) {
     *out += ",\"trace_id\":\"";
-    AppendEscaped(out, r.trace_id);
+    AppendJsonEscaped(out, r.trace_id);
     *out += '"';
   }
   *out += "}\n";
@@ -202,7 +174,7 @@ void TraceBuffer::AppendChromeTrace(std::string* out) const {
     *out += buf;
     if (!r.trace_id.empty()) {
       *out += ",\"trace_id\":\"";
-      AppendEscaped(out, r.trace_id);
+      AppendJsonEscaped(out, r.trace_id);
       *out += '"';
     }
     *out += "}}";

@@ -2,7 +2,7 @@
 
 #include <chrono>
 
-#include "serve/json.h"
+#include "common/json_escape.h"
 
 namespace cqa::serve {
 
@@ -29,17 +29,25 @@ bool AccessLog::Open(std::string* error) {
 std::string AccessLog::FormatLine(const AccessLogEntry& entry,
                                   uint64_t unix_ms, bool slow) {
   std::string out = "{\"unix_ms\":" + std::to_string(unix_ms);
-  out += ",\"op\":\"" + JsonEscape(entry.op) + "\"";
+  out += ",\"op\":\"";
+  AppendJsonEscaped(&out, entry.op);
+  out += '"';
   if (!entry.trace_id.empty()) {
-    out += ",\"trace_id\":\"" + JsonEscape(entry.trace_id) + "\"";
+    out += ",\"trace_id\":\"";
+    AppendJsonEscaped(&out, entry.trace_id);
+    out += '"';
   }
   if (!entry.request_id.empty()) {
-    out += ",\"id\":\"" + JsonEscape(entry.request_id) + "\"";
+    out += ",\"id\":\"";
+    AppendJsonEscaped(&out, entry.request_id);
+    out += '"';
   }
   out += ",\"code\":" + std::to_string(static_cast<int>(entry.code));
   out += ",\"code_name\":\"" + std::string(ErrorCodeName(entry.code)) + "\"";
   if (entry.op == "query") {
-    out += ",\"scheme\":\"" + JsonEscape(entry.scheme) + "\"";
+    out += ",\"scheme\":\"";
+    AppendJsonEscaped(&out, entry.scheme);
+    out += '"';
     if (entry.code == ErrorCode::kOk) {
       out += ",\"cache\":\"" + std::string(entry.cache_hit ? "hit" : "miss") +
              "\"";

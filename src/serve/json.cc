@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/json_escape.h"
+
 namespace cqa::serve {
 
 namespace {
@@ -248,7 +250,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
     }
     case JsonValue::Kind::kString:
       out->push_back('"');
-      out->append(JsonEscape(v.AsString()));
+      AppendJsonEscaped(out, v.AsString());
       out->push_back('"');
       return;
     case JsonValue::Kind::kArray: {
@@ -269,7 +271,7 @@ void SerializeTo(const JsonValue& v, std::string* out) {
         if (!first) out->push_back(',');
         first = false;
         out->push_back('"');
-        out->append(JsonEscape(key));
+        AppendJsonEscaped(out, key);
         out->append("\":");
         SerializeTo(value, out);
       }
@@ -354,31 +356,6 @@ void JsonValue::Append(JsonValue v) { array_.push_back(std::move(v)); }
 
 void JsonValue::Set(const std::string& key, JsonValue v) {
   object_.emplace_back(key, std::move(v));
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out.append("\\\""); break;
-      case '\\': out.append("\\\\"); break;
-      case '\b': out.append("\\b"); break;
-      case '\f': out.append("\\f"); break;
-      case '\n': out.append("\\n"); break;
-      case '\r': out.append("\\r"); break;
-      case '\t': out.append("\\t"); break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out.append(buf);
-        } else {
-          out.push_back(static_cast<char>(c));
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace cqa::serve

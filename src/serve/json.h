@@ -74,10 +74,6 @@ class JsonValue {
   std::vector<std::pair<std::string, JsonValue>> object_;
 };
 
-/// Escapes a string for embedding in a JSON document (quotes not
-/// included). Control characters become \u00XX.
-std::string JsonEscape(const std::string& s);
-
 }  // namespace cqa::serve
 
 #endif  // CQABENCH_SERVE_JSON_H_

@@ -1,7 +1,12 @@
 #include "serve/protocol.h"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+
+#include "common/json_escape.h"
 
 namespace cqa::serve {
 
@@ -166,6 +171,38 @@ enum RespField {
   kRespServer = 13,         // len raw JSON.
 };
 
+constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+constexpr uint64_t kMaxInt = std::numeric_limits<int>::max();
+
+/// The shortest text that reads back as `n`: a JSON number as it was sent.
+std::string NumberText(double n) {
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), n).ptr);
+}
+
+/// Reads `key` of `obj` as an integer in [0, max]: absent or not a
+/// number, it reads `fallback`. A JSON number is a double, and one that
+/// is fractional or out of range is refused here: casting it would
+/// truncate it or be undefined. On failure *error names the field and
+/// the number as sent.
+bool ReadInteger(const JsonValue& obj, const std::string& key, uint64_t max,
+                 uint64_t fallback, uint64_t* out, std::string* error) {
+  const JsonValue* v = obj.Find(key);
+  if (v == nullptr || !v->is_number()) {
+    *out = fallback;
+    return true;
+  }
+  const double n = v->AsNumber();
+  if (n >= 0.0 && n < 0x1p64 && n == std::trunc(n) &&
+      static_cast<uint64_t>(n) <= max) {
+    *out = static_cast<uint64_t>(n);
+    return true;
+  }
+  *error = "\"" + key + "\" must be an integer in [0, " +
+           std::to_string(max) + "], got " + NumberText(n);
+  return false;
+}
+
 // Semantic request validation shared by the JSON and binary decoders so
 // the two codecs accept exactly the same request space (structural
 // checks — JSON types, trace object shape — stay codec-local).
@@ -317,10 +354,11 @@ bool Request::FromJsonPayload(const std::string& payload, Request* out,
     *error = "missing protocol version field \"v\"";
     return false;
   }
-  if (static_cast<int>(v->AsNumber()) != kProtocolVersion) {
+  uint64_t version = 0;
+  if (!ReadInteger(root, "v", kMaxInt, 0, &version, error) ||
+      version != kProtocolVersion) {
     *code = ErrorCode::kBadVersion;
-    *error = "unsupported protocol version " +
-             std::to_string(static_cast<int>(v->AsNumber())) +
+    *error = "unsupported protocol version " + NumberText(v->AsNumber()) +
              " (server speaks " + std::to_string(kProtocolVersion) + ")";
     return false;
   }
@@ -340,13 +378,12 @@ bool Request::FromJsonPayload(const std::string& payload, Request* out,
       *error = "\"trace\" needs a non-empty string \"id\"";
       return false;
     }
-    const double parent = trace->GetNumber("parent", 0.0);
-    if (parent < 0.0) {
+    if (!ReadInteger(*trace, "parent", kMaxU64, 0, &out->trace_parent,
+                     error)) {
       *code = ErrorCode::kBadRequest;
-      *error = "trace parent must be a non-negative span id";
+      *error = "trace " + *error;
       return false;
     }
-    out->trace_parent = static_cast<uint64_t>(parent);
   }
   out->schema = root.GetString("schema", "tpch");
   out->data = root.GetString("data", "");
@@ -355,8 +392,13 @@ bool Request::FromJsonPayload(const std::string& payload, Request* out,
   out->epsilon = root.GetNumber("epsilon", 0.1);
   out->delta = root.GetNumber("delta", 0.25);
   out->deadline_s = root.GetNumber("deadline_s", 0.0);
-  out->seed = static_cast<uint64_t>(root.GetNumber("seed", 7));
-  out->threads = static_cast<int>(root.GetNumber("threads", 1));
+  uint64_t threads = 1;
+  if (!ReadInteger(root, "seed", kMaxU64, 7, &out->seed, error) ||
+      !ReadInteger(root, "threads", kMaxInt, 1, &threads, error)) {
+    *code = ErrorCode::kBadRequest;
+    return false;
+  }
+  out->threads = static_cast<int>(threads);
   out->want_record = root.GetBool("record", false);
   return ValidateRequestFields(out, code, error);
 }
@@ -535,12 +577,18 @@ std::string Response::ToJsonPayload() const {
   // Hand-assembled so the raw embedded objects (run record, metrics) can
   // be spliced in without reparsing them.
   std::string out = "{\"v\":" + std::to_string(version);
-  if (!id.empty()) out += ",\"id\":\"" + JsonEscape(id) + "\"";
+  if (!id.empty()) {
+    out += ",\"id\":\"";
+    AppendJsonEscaped(&out, id);
+    out += '"';
+  }
   if (code != ErrorCode::kOk) {
     out += ",\"status\":\"error\",\"code\":" +
            std::to_string(static_cast<int>(code));
     out += ",\"code_name\":\"" + std::string(ErrorCodeName(code)) + "\"";
-    out += ",\"error\":\"" + JsonEscape(error) + "\"";
+    out += ",\"error\":\"";
+    AppendJsonEscaped(&out, error);
+    out += '"';
     if (retry_after_s > 0) {
       char buf[32];
       std::snprintf(buf, sizeof(buf), "%.3f", retry_after_s);
@@ -584,8 +632,11 @@ std::string Response::ToJsonPayload() const {
     if (!first) out += ",";
     first = false;
     std::snprintf(buf, sizeof(buf), "%.17g", a.frequency);
-    out += "{\"tuple\":\"" + JsonEscape(a.tuple) +
-           "\",\"frequency\":" + buf + "}";
+    out += "{\"tuple\":\"";
+    AppendJsonEscaped(&out, a.tuple);
+    out += "\",\"frequency\":";
+    out += buf;
+    out += '}';
   }
   out += "]";
   if (!run_record_json.empty()) out += ",\"run_record\":" + run_record_json;
@@ -622,8 +673,12 @@ bool Response::FromJsonPayload(const std::string& payload, Response* out,
   out->timed_out = root.GetBool("timed_out", false);
   out->preprocess_seconds = root.GetNumber("preprocess_seconds", 0.0);
   out->scheme_seconds = root.GetNumber("scheme_seconds", 0.0);
-  out->total_samples =
-      static_cast<uint64_t>(root.GetNumber("total_samples", 0.0));
+  std::string bad;
+  if (!ReadInteger(root, "total_samples", kMaxU64, 0, &out->total_samples,
+                   &bad)) {
+    if (error != nullptr) *error = bad;
+    return false;
+  }
   const JsonValue* answers = root.Find("answers");
   if (answers != nullptr && answers->is_array()) {
     for (const JsonValue& a : answers->AsArray()) {
@@ -636,18 +691,20 @@ bool Response::FromJsonPayload(const std::string& payload, Response* out,
   const JsonValue* timing = root.Find("timing");
   if (timing != nullptr && timing->is_object()) {
     out->timing.recorded = true;
-    out->timing.queue_wait_micros =
-        static_cast<uint64_t>(timing->GetNumber("queue_wait_micros", 0.0));
-    out->timing.cache_micros =
-        static_cast<uint64_t>(timing->GetNumber("cache_micros", 0.0));
-    out->timing.preprocess_micros =
-        static_cast<uint64_t>(timing->GetNumber("preprocess_micros", 0.0));
-    out->timing.sample_micros =
-        static_cast<uint64_t>(timing->GetNumber("sample_micros", 0.0));
-    out->timing.encode_micros =
-        static_cast<uint64_t>(timing->GetNumber("encode_micros", 0.0));
-    out->timing.total_micros =
-        static_cast<uint64_t>(timing->GetNumber("total_micros", 0.0));
+    PhaseTiming& t = out->timing;
+    const std::pair<const char*, uint64_t*> fields[] = {
+        {"queue_wait_micros", &t.queue_wait_micros},
+        {"cache_micros", &t.cache_micros},
+        {"preprocess_micros", &t.preprocess_micros},
+        {"sample_micros", &t.sample_micros},
+        {"encode_micros", &t.encode_micros},
+        {"total_micros", &t.total_micros}};
+    for (const auto& [key, field] : fields) {
+      if (!ReadInteger(*timing, key, kMaxU64, 0, field, &bad)) {
+        if (error != nullptr) *error = "timing " + bad;
+        return false;
+      }
+    }
   }
   const JsonValue* record = root.Find("run_record");
   if (record != nullptr) out->run_record_json = record->Serialize();

@@ -27,17 +27,15 @@ class NaturalSampler : public Sampler {
     CQA_CHECK_MSG(!synopsis->Empty(), "natural sampler requires H != {}");
   }
 
-  double Draw(Rng& rng) override {
+  void DrawBatch(Rng& rng, size_t n, double* out) override {
     const std::span<const Synopsis::Block> blocks = synopsis_->blocks();
     scratch_.resize(blocks.size());
-    for (size_t b = 0; b < blocks.size(); ++b) {
-      scratch_[b] = static_cast<uint32_t>(rng.UniformIndex(blocks[b].size));
-    }
-    return synopsis_->AnyImageContainedIn(scratch_) ? 1.0 : 0.0;
-  }
-
-  void DrawBatch(Rng& rng, size_t n, double* out) override {
-    for (size_t k = 0; k < n; ++k) out[k] = Draw(rng);
+    FillBatch(n, out, [&] {
+      for (size_t b = 0; b < blocks.size(); ++b) {
+        scratch_[b] = static_cast<uint32_t>(rng.UniformIndex(blocks[b].size));
+      }
+      return synopsis_->AnyImageContainedIn(scratch_) ? 1.0 : 0.0;
+    });
   }
 
   double GoodnessFactor() const override { return 1.0; }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "cqa/monte_carlo.h"
 #include "test_util.h"
@@ -14,7 +16,9 @@ namespace {
 class BernoulliSampler : public Sampler {
  public:
   explicit BernoulliSampler(double p) : p_(p) {}
-  double Draw(Rng& rng) override { return rng.Bernoulli(p_) ? 1.0 : 0.0; }
+  void DrawBatch(Rng& rng, size_t n, double* out) override {
+    FillBatch(n, out, [&] { return rng.Bernoulli(p_) ? 1.0 : 0.0; });
+  }
   double GoodnessFactor() const override { return 1.0; }
   const char* name() const override { return "bernoulli"; }
 
@@ -26,13 +30,20 @@ class BernoulliSampler : public Sampler {
 class ConstantSampler : public Sampler {
  public:
   explicit ConstantSampler(double p) : p_(p) {}
-  double Draw(Rng&) override { return p_; }
+  void DrawBatch(Rng&, size_t n, double* out) override {
+    std::fill(out, out + n, p_);
+  }
   double GoodnessFactor() const override { return 1.0; }
   const char* name() const override { return "constant"; }
 
  private:
   double p_;
 };
+
+/// MonteCarloEstimate's factory over Bernoulli(p) samplers.
+SamplerFactory Bernoulli(double p) {
+  return [p] { return std::make_unique<BernoulliSampler>(p); };
+}
 
 TEST(OptEstimateTest, MuHatApproximatesMean) {
   BernoulliSampler sampler(0.3);
@@ -83,9 +94,8 @@ TEST(MonteCarloTest, EstimateWithinRelativeError) {
   const double p = 0.25;
   size_t hits = 0;
   for (int run = 0; run < 20; ++run) {
-    BernoulliSampler sampler(p);
     Rng rng(100 + run);
-    MonteCarloResult r = MonteCarloEstimate(sampler, 0.2, 0.2, rng);
+    MonteCarloResult r = MonteCarloEstimate(Bernoulli(p), 1, 0.2, 0.2, rng);
     ASSERT_FALSE(r.timed_out);
     if (std::abs(r.estimate - p) <= 0.2 * p) ++hits;
   }
@@ -93,19 +103,19 @@ TEST(MonteCarloTest, EstimateWithinRelativeError) {
 }
 
 TEST(MonteCarloTest, TightEpsilonIsMoreAccurate) {
-  BernoulliSampler sampler(0.4);
   Rng rng(5);
-  MonteCarloResult loose = MonteCarloEstimate(sampler, 0.3, 0.25, rng);
-  MonteCarloResult tight = MonteCarloEstimate(sampler, 0.05, 0.25, rng);
+  MonteCarloResult loose =
+      MonteCarloEstimate(Bernoulli(0.4), 1, 0.3, 0.25, rng);
+  MonteCarloResult tight =
+      MonteCarloEstimate(Bernoulli(0.4), 1, 0.05, 0.25, rng);
   EXPECT_GT(tight.main_samples, loose.main_samples);
   EXPECT_NEAR(tight.estimate, 0.4, 0.4 * 0.05 * 2);
 }
 
 TEST(MonteCarloTest, PropagatesTimeout) {
-  BernoulliSampler sampler(1e-9);
   Rng rng(6);
   MonteCarloResult r =
-      MonteCarloEstimate(sampler, 0.1, 0.25, rng, Deadline(0.05));
+      MonteCarloEstimate(Bernoulli(1e-9), 1, 0.1, 0.25, rng, Deadline(0.05));
   EXPECT_TRUE(r.timed_out);
 }
 
@@ -120,10 +130,10 @@ TEST_P(EpsilonDeltaSweepTest, GuaranteeHoldsAcrossGrid) {
   size_t hits = 0;
   const int runs = 12;
   for (int run = 0; run < runs; ++run) {
-    BernoulliSampler sampler(p);
     Rng rng(7000 + run * 13 +
             static_cast<uint64_t>(epsilon * 1000 + delta * 100));
-    MonteCarloResult r = MonteCarloEstimate(sampler, epsilon, delta, rng);
+    MonteCarloResult r =
+        MonteCarloEstimate(Bernoulli(p), 1, epsilon, delta, rng);
     ASSERT_FALSE(r.timed_out);
     if (std::abs(r.estimate - p) <= epsilon * p) ++hits;
   }

@@ -19,7 +19,7 @@
 #include "common/stopwatch.h"
 #include "cqa/apx_cqa.h"
 #include "cqa/klm_sampler.h"
-#include "cqa/parallel.h"
+#include "cqa/monte_carlo.h"
 #include "cqa/schemes.h"
 #include "cqa/symbolic_space.h"
 #include "gen/tpch.h"
@@ -128,14 +128,14 @@ TEST(ParallelRaceTest, ParallelEstimateUnderDeadlinePressure) {
   };
 
   Rng rng_expired(21);
-  MonteCarloResult expired = ParallelMonteCarloEstimate(
+  MonteCarloResult expired = MonteCarloEstimate(
       factory, 4, 0.1, 0.25, rng_expired, Deadline(0.0));
   EXPECT_TRUE(expired.timed_out);
 
   // A deadline that expires mid-run on some executions and not on others;
   // either outcome must be internally consistent.
   Rng rng_tight(22);
-  MonteCarloResult tight = ParallelMonteCarloEstimate(
+  MonteCarloResult tight = MonteCarloEstimate(
       factory, 4, 0.05, 0.05, rng_tight, Deadline(0.005));
   if (!tight.timed_out) {
     EXPECT_GE(tight.estimate, 0.0);
@@ -145,7 +145,7 @@ TEST(ParallelRaceTest, ParallelEstimateUnderDeadlinePressure) {
 
   Rng rng_free(23);
   MonteCarloResult free_run =
-      ParallelMonteCarloEstimate(factory, 4, 0.2, 0.25, rng_free);
+      MonteCarloEstimate(factory, 4, 0.2, 0.25, rng_free);
   EXPECT_FALSE(free_run.timed_out);
   size_t total = 0;
   for (size_t n : free_run.per_thread_samples) total += n;

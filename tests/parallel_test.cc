@@ -1,4 +1,4 @@
-#include "cqa/parallel.h"
+#include "cqa/monte_carlo.h"
 
 #include <gtest/gtest.h>
 
@@ -6,6 +6,7 @@
 #include "cqa/klm_sampler.h"
 #include "cqa/schemes.h"
 #include "natural_sampler.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace cqa {
@@ -13,20 +14,6 @@ namespace {
 
 using testing::MakeRandomSynopsis;
 using testing::NaturalSampler;
-
-TEST(ParallelMonteCarloTest, SingleThreadMatchesSerialImplementation) {
-  Rng gen(1);
-  Synopsis s = MakeRandomSynopsis(gen, 5, 4, 5, 3);
-  Rng rng_serial(7), rng_parallel(7);
-  NaturalSampler serial_sampler(&s);
-  MonteCarloResult serial =
-      MonteCarloEstimate(serial_sampler, 0.1, 0.25, rng_serial);
-  MonteCarloResult parallel = ParallelMonteCarloEstimate(
-      [&] { return std::make_unique<NaturalSampler>(&s); }, 1, 0.1, 0.25,
-      rng_parallel);
-  EXPECT_DOUBLE_EQ(serial.estimate, parallel.estimate);
-  EXPECT_EQ(serial.main_samples, parallel.main_samples);
-}
 
 class ParallelThreadsTest : public ::testing::TestWithParam<size_t> {};
 
@@ -37,7 +24,7 @@ TEST_P(ParallelThreadsTest, EstimateStaysAccurate) {
   ASSERT_GT(exact, 0.0);
   SymbolicSpace space(&s);
   Rng rng(50 + GetParam());
-  MonteCarloResult r = ParallelMonteCarloEstimate(
+  MonteCarloResult r = MonteCarloEstimate(
       [&] { return std::make_unique<KlmSampler>(&space); }, GetParam(), 0.1,
       0.05, rng);
   ASSERT_FALSE(r.timed_out);
@@ -52,7 +39,7 @@ TEST(ParallelMonteCarloTest, SampleCountIsSplitExactly) {
   Rng gen(3);
   Synopsis s = MakeRandomSynopsis(gen, 4, 3, 3, 2);
   Rng rng(9);
-  MonteCarloResult r = ParallelMonteCarloEstimate(
+  MonteCarloResult r = MonteCarloEstimate(
       [&] { return std::make_unique<NaturalSampler>(&s); }, 3, 0.2, 0.25,
       rng);
   ASSERT_FALSE(r.timed_out);
@@ -89,10 +76,54 @@ TEST(ParallelMonteCarloTest, DeadlinePropagatesAcrossThreads) {
   const Synopsis s = builder.Finish();
   SymbolicSpace space(&s);
   Rng rng(10);
-  MonteCarloResult r = ParallelMonteCarloEstimate(
+  MonteCarloResult r = MonteCarloEstimate(
       [&] { return std::make_unique<KlmSampler>(&space); }, 4, 0.01, 0.01,
       rng, Deadline(0.0));
   EXPECT_TRUE(r.timed_out);
+}
+
+/// monte_carlo.runs counts main loops started and monte_carlo.timeouts
+/// those the deadline cut, whatever the width: a completed run and a run
+/// under an expired deadline (which OptEstimate already cuts) move both
+/// counters the same way at one thread and at four.
+TEST(MonteCarloCountersTest, RunsAndTimeoutsAgreeAcrossWidths) {
+#ifdef CQABENCH_NO_OBS
+  GTEST_SKIP() << "counters are compiled out";
+#else
+  Rng gen(5);
+  Synopsis s = MakeRandomSynopsis(gen, 4, 3, 3, 2);
+  const SamplerFactory factory = [&] {
+    return std::make_unique<NaturalSampler>(&s);
+  };
+  const obs::Registry& registry = obs::Registry::Instance();
+  struct Moves {
+    uint64_t runs;
+    uint64_t timeouts;
+    bool timed_out;
+  };
+  auto run = [&](size_t threads, const Deadline& deadline) {
+    const uint64_t runs = registry.CounterValue("monte_carlo.runs");
+    const uint64_t timeouts = registry.CounterValue("monte_carlo.timeouts");
+    Rng rng(11);
+    MonteCarloResult r =
+        MonteCarloEstimate(factory, threads, 0.2, 0.25, rng, deadline);
+    return Moves{registry.CounterValue("monte_carlo.runs") - runs,
+                 registry.CounterValue("monte_carlo.timeouts") - timeouts,
+                 r.timed_out};
+  };
+  for (size_t threads : {size_t{1}, size_t{4}}) {
+    const Moves done = run(threads, Deadline());
+    EXPECT_FALSE(done.timed_out) << "threads=" << threads;
+    EXPECT_EQ(done.runs, 1u) << "threads=" << threads;
+    EXPECT_EQ(done.timeouts, 0u) << "threads=" << threads;
+  }
+  const Moves cut_serial = run(1, Deadline(0.0));
+  const Moves cut_parallel = run(4, Deadline(0.0));
+  EXPECT_TRUE(cut_serial.timed_out);
+  EXPECT_TRUE(cut_parallel.timed_out);
+  EXPECT_EQ(cut_serial.runs, cut_parallel.runs);
+  EXPECT_EQ(cut_serial.timeouts, cut_parallel.timeouts);
+#endif
 }
 
 }  // namespace

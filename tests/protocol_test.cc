@@ -8,7 +8,9 @@
 
 #include <limits>
 #include <string>
+#include <vector>
 
+#include "common/json_escape.h"
 #include "serve/json.h"
 #include "serve/protocol.h"
 
@@ -16,6 +18,26 @@ namespace cqa::serve {
 namespace {
 
 // ---------------------------------------------------------------- JSON.
+
+TEST(JsonTest, EscaperRoundTripsEveryAsciiByteAndUtf8) {
+  std::vector<std::string> inputs;
+  for (int b = 0; b < 0x80; ++b) inputs.emplace_back(1, static_cast<char>(b));
+  inputs.push_back("na\xc3\xafve \xe2\x80\x93 \xe6\x97\xa5\xe6\x9c\xac "
+                   "\xf0\x9f\x99\x82 \"q\" \\ \b\f\n\r\t\x01");
+  for (const std::string& input : inputs) {
+    std::string text = "\"";
+    AppendJsonEscaped(&text, input);
+    text += '"';
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(JsonValue::Parse(text, &v, &error)) << text << ": " << error;
+    ASSERT_TRUE(v.is_string()) << text;
+    EXPECT_EQ(v.AsString(), input) << text;
+  }
+  std::string text;
+  AppendJsonEscaped(&text, std::string("\b\f\r\x1f\0", 5));
+  EXPECT_EQ(text, "\\b\\f\\r\\u001f\\u0000");
+}
 
 TEST(JsonTest, ParsesScalarsAndNesting) {
   JsonValue v;
@@ -221,6 +243,17 @@ TEST(RequestCodecTest, RejectsBadVersion) {
   EXPECT_FALSE(Request::FromJsonPayload(R"({"v": 2, "op": "ping"})",
                                         &decoded, &code, &error));
   EXPECT_EQ(code, ErrorCode::kBadVersion);
+  // Refused as sent, not through a cast: 1.5 once truncated to 1, and
+  // 1e300 read INT_MIN.
+  for (const char* v : {"1.5", "-1", "1e300"}) {
+    code = ErrorCode::kOk;
+    EXPECT_FALSE(Request::FromJsonPayload(
+        std::string(R"({"op": "ping", "v": )") + v + "}", &decoded, &code,
+        &error))
+        << v;
+    EXPECT_EQ(code, ErrorCode::kBadVersion) << v;
+  }
+  EXPECT_NE(error.find("version 1e+300"), std::string::npos) << error;
 }
 
 TEST(RequestCodecTest, RejectsBadFields) {
@@ -235,6 +268,17 @@ TEST(RequestCodecTest, RejectsBadFields) {
           "delta": 1.5})",
       R"({"v": 1, "op": "query", "data": "d", "query": "q",
           "threads": 0})",
+      // Numbers that are not integers of the field's range: each was once
+      // cast as is (seed -1 ran as 2^64 - 1, 1e30 as 0, 2.5 as 2; parent
+      // 1e30 read 0; threads 1e10 was refused only because it cast to
+      // INT_MIN).
+      R"({"v": 1, "op": "query", "data": "d", "query": "q", "seed": -1})",
+      R"({"v": 1, "op": "query", "data": "d", "query": "q", "seed": 1e30})",
+      R"({"v": 1, "op": "query", "data": "d", "query": "q", "seed": 2.5})",
+      R"({"v": 1, "op": "query", "data": "d", "query": "q",
+          "trace": {"id": "t", "parent": 1e30}})",
+      R"({"v": 1, "op": "query", "data": "d", "query": "q",
+          "threads": 1e10})",
   };
   for (const char* text : kBad) {
     Request decoded;
@@ -244,6 +288,28 @@ TEST(RequestCodecTest, RejectsBadFields) {
         << "accepted: " << text;
     EXPECT_EQ(code, ErrorCode::kBadRequest) << text;
   }
+  // The message names the field and the number as sent.
+  Request decoded;
+  ErrorCode code = ErrorCode::kOk;
+  std::string error;
+  EXPECT_FALSE(Request::FromJsonPayload(
+      R"({"v": 1, "op": "query", "data": "d", "query": "q", "seed": 2.5})",
+      &decoded, &code, &error));
+  EXPECT_NE(error.find("\"seed\""), std::string::npos) << error;
+  EXPECT_NE(error.find("got 2.5"), std::string::npos) << error;
+  // The range ends where the field's does: the largest double below 2^64
+  // is a seed, 2^64 is not.
+  ASSERT_TRUE(Request::FromJsonPayload(
+      R"({"v": 1, "op": "query", "data": "d", "query": "q",
+          "seed": 18446744073709549568, "threads": 256})",
+      &decoded, &code, &error))
+      << error;
+  EXPECT_EQ(decoded.seed, 18446744073709549568u);
+  EXPECT_EQ(decoded.threads, 256);
+  EXPECT_FALSE(Request::FromJsonPayload(
+      R"({"v": 1, "op": "query", "data": "d", "query": "q",
+          "seed": 18446744073709551616})",
+      &decoded, &code, &error));
 }
 
 // ------------------------------------------------ trace context codec.
@@ -398,6 +464,18 @@ TEST(ResponseCodecTest, TimingIsAbsentWhenNotRecorded) {
   std::string error;
   ASSERT_TRUE(Response::FromJsonPayload(payload, &decoded, &error)) << error;
   EXPECT_FALSE(decoded.timing.recorded);
+}
+
+TEST(ResponseCodecTest, RejectsCountsThatAreNotIntegers) {
+  for (const char* text :
+       {R"({"v": 1, "status": "ok", "total_samples": -1})",
+        R"({"v": 1, "status": "ok", "total_samples": 1.5})",
+        R"({"v": 1, "status": "ok", "timing": {"sample_micros": 1e30}})"}) {
+    Response decoded;
+    std::string error;
+    EXPECT_FALSE(Response::FromJsonPayload(text, &decoded, &error)) << text;
+    EXPECT_FALSE(error.empty()) << text;
+  }
 }
 
 TEST(ResponseCodecTest, ErrorCodeNamesCoverEveryCode) {

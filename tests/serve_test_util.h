@@ -94,10 +94,25 @@ class NoisyTpchDir {
 /// that it samples until its `seconds` deadline, so a drain requested
 /// meanwhile stays open until then. Returns once the query is executing;
 /// join the thread after the drain.
+///
+/// A reply reaches its client before the executor releases its slot, so
+/// an earlier query may still hold `serve.admission_inflight` at 1. The
+/// helper first waits for the gauge to read 0, then for the holder's
+/// query to lift it to at least 1; if either wait runs out, the test
+/// fails instead of racing a drain against an idle server.
 inline std::thread HoldDrainOpen(int port, const std::string& data_dir,
                                  double seconds) {
   obs::Registry& registry = obs::Registry::Instance();
-  const int64_t before = registry.GaugeValue("serve.admission_inflight");
+  auto wait_for = [&registry](auto done) {
+    const Deadline limit(10.0);
+    while (!done(registry.GaugeValue("serve.admission_inflight"))) {
+      if (limit.Expired()) return false;
+      std::this_thread::yield();
+    }
+    return true;
+  };
+  EXPECT_TRUE(wait_for([](int64_t inflight) { return inflight == 0; }))
+      << "an earlier query never released its admission slot";
   std::thread holder([port, data_dir, seconds] {
     CqaClient client;
     std::string error;
@@ -113,11 +128,8 @@ inline std::thread HoldDrainOpen(int port, const std::string& data_dir,
     Response response;
     EXPECT_TRUE(client.Call(request, &response, &error)) << error;
   });
-  const Deadline started(10.0);
-  while (registry.GaugeValue("serve.admission_inflight") <= before &&
-         !started.Expired()) {
-    std::this_thread::yield();
-  }
+  EXPECT_TRUE(wait_for([](int64_t inflight) { return inflight >= 1; }))
+      << "the holding query never started executing";
   return holder;
 }
 

@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "cqa/parallel.h"
+#include "cqa/monte_carlo.h"
 #include "obs/metrics.h"
 
 namespace cqa {
@@ -80,7 +80,9 @@ TEST(ThreadPoolTest, ReusedAcrossManyRuns) {
 class BernoulliSampler : public Sampler {
  public:
   explicit BernoulliSampler(double p) : p_(p) {}
-  double Draw(Rng& rng) override { return rng.Bernoulli(p_) ? 1.0 : 0.0; }
+  void DrawBatch(Rng& rng, size_t n, double* out) override {
+    FillBatch(n, out, [&] { return rng.Bernoulli(p_) ? 1.0 : 0.0; });
+  }
   double GoodnessFactor() const override { return 1.0; }
   const char* name() const override { return "bernoulli"; }
 
@@ -93,8 +95,8 @@ class BernoulliSampler : public Sampler {
 #ifndef CQABENCH_NO_OBS
 TEST(ThreadPoolTest, ParallelMonteCarloSpawnsZeroThreadsInSteadyState) {
   // The acceptance criterion of the pooled scheme layer: after a warm-up
-  // call, ParallelMonteCarloEstimate must serve every further call from
-  // the existing workers — zero thread launches, pool_reuses ticking.
+  // call, a two-thread MonteCarloEstimate must serve every further call
+  // from the existing workers — zero thread launches, pool_reuses ticking.
   obs::Registry& registry = obs::Registry::Instance();
   SamplerFactory factory = [] {
     return std::make_unique<BernoulliSampler>(0.4);
@@ -102,7 +104,7 @@ TEST(ThreadPoolTest, ParallelMonteCarloSpawnsZeroThreadsInSteadyState) {
   Rng rng(17);
   auto run_once = [&] {
     MonteCarloResult r =
-        ParallelMonteCarloEstimate(factory, 2, 0.2, 0.2, rng);
+        MonteCarloEstimate(factory, 2, 0.2, 0.2, rng);
     EXPECT_FALSE(r.timed_out);
     EXPECT_NEAR(r.estimate, 0.4, 0.15);
   };

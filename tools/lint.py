@@ -24,10 +24,9 @@ Fast, dependency-free checks that encode conventions the compiler cannot:
      machine-readable --bench_json= flag (via bench/bench_flags.h or a
      hand-rolled parser), so the continuous-benchmarking pipeline can
      collect BENCH_*.json from any benchmark binary.
-  6. Batch-draw discipline: every Sampler subclass overrides DrawBatch
-     (the estimator loops draw in blocks; a subclass that forgets the
-     override silently falls back to per-draw virtual dispatch) unless it
-     is in the explicit opt-out set of test-only stub samplers.
+  6. (Retired.) The batch-draw check: Sampler::DrawBatch is now the one
+     virtual draw and pure, so the compiler rejects a sampler without it
+     and no sampler can fall back to per-draw dispatch.
   7. Documentation discipline: (a) every public header under src/cqa and
      src/serve opens with a file-level // comment (before the include
      guard) saying what the module is; (b) every command-line flag
@@ -38,7 +37,8 @@ Fast, dependency-free checks that encode conventions the compiler cannot:
   8. Metric catalog discipline: every metric name registered from
      non-test source -- CQA_OBS_COUNT/COUNT_N/OBSERVE literals and
      Registry GetGauge("...") literals -- must appear in docs/metrics.md,
-     so the metric catalog cannot silently drift from the code.
+     and every metric row of docs/metrics.md must name one of them, so
+     the catalog cannot silently drift from the code in either direction.
   9. Concurrency discipline: non-test source synchronizes only through
      the annotated cqa::Mutex/MutexLock/CondVar wrappers
      (src/common/thread_annotations.h) so Clang Thread Safety Analysis
@@ -206,37 +206,6 @@ def check_bench_json_flag(errors: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Check 6: Sampler subclasses override DrawBatch (or opt out explicitly).
-# ---------------------------------------------------------------------------
-
-SAMPLER_DECL = re.compile(r"class\s+(\w+)\s*(?:final\s*)?:\s*public\s+Sampler\b")
-
-# Test-only stubs whose draws are trivially cheap: the default per-draw
-# loop is fine and an override would be noise. Production samplers in src/
-# must never be listed here.
-DRAWBATCH_OPT_OUT = {"BernoulliSampler", "ConstantSampler"}
-
-
-def check_drawbatch_overrides(path: Path, rel: str, text: str,
-                              errors: list[str]) -> None:
-    for match in SAMPLER_DECL.finditer(text):
-        name = match.group(1)
-        if name in DRAWBATCH_OPT_OUT:
-            continue
-        lineno = text.count("\n", 0, match.start()) + 1
-        # The class body ends at the first non-indented closing brace.
-        end = text.find("\n};", match.end())
-        body = text[match.end(): end if end >= 0 else len(text)]
-        if "DrawBatch" not in body:
-            errors.append(
-                f"{rel}:{lineno}: sampler {name} does not override DrawBatch "
-                f"-- the estimator loops draw in blocks, so it would fall "
-                f"back to per-draw virtual dispatch; override it or add the "
-                f"class to DRAWBATCH_OPT_OUT in tools/lint.py"
-            )
-
-
-# ---------------------------------------------------------------------------
 # Check 7: documentation discipline -- header file comments + flag docs.
 # ---------------------------------------------------------------------------
 
@@ -316,6 +285,8 @@ def check_flag_docs(errors: list[str]) -> None:
 # ---------------------------------------------------------------------------
 
 GAUGE_CALL = re.compile(r'GetGauge\s*\(\s*"([a-z0-9_.]+)"')
+# A catalog row: "| `name` | type | meaning |".
+CATALOG_ROW = re.compile(r"^\|\s*`([a-z0-9_.]+)`\s*\|")
 
 
 def check_metric_docs(errors: list[str]) -> None:
@@ -349,6 +320,14 @@ def check_metric_docs(errors: list[str]) -> None:
             errors.append(
                 f"{seen[name]}: metric {name} is not cataloged -- add a "
                 f"`{name}` row to docs/metrics.md"
+            )
+    for lineno, line in enumerate(catalog.splitlines(), 1):
+        row = CATALOG_ROW.match(line)
+        if row and row.group(1) not in seen:
+            errors.append(
+                f"docs/metrics.md:{lineno}: metric {row.group(1)} is "
+                f"registered by no non-test source -- delete the row or "
+                f"restore the metric"
             )
 
 
@@ -482,7 +461,6 @@ def main() -> int:
         check_rng(path, rel, text, errors)
         check_obs_macros(path, rel, text, errors)
         check_include_guard(path, rel, text, errors)
-        check_drawbatch_overrides(path, rel, text, errors)
         check_header_file_comment(path, rel, text, errors)
         check_concurrency_discipline(path, rel, text, errors)
         check_event_demux_discipline(path, rel, text, errors)
